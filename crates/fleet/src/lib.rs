@@ -20,8 +20,8 @@
 //! * [`dispatch`] — [`Dispatcher`]: fans cells out to N `secddr-serve`
 //!   workers, least-loaded placement with per-worker outstanding caps,
 //!   ping health checks, and requeue-on-worker-death.
-//! * [`server`] — [`FleetServer`]: the same line-delimited-JSON TCP
-//!   protocol `secddr-serve` speaks, so
+//! * [`server`] — [`FleetServer`]: the dispatcher behind the same
+//!   line-protocol front end `secddr-serve` uses, so
 //!   [`ServiceClient`](secddr_service::ServiceClient) drives a fleet
 //!   unchanged; `secddr-dispatch` is the binary, `secddr-fleetctl`
 //!   inspects logs/stores and pings endpoints.
@@ -42,5 +42,5 @@ pub mod store;
 
 pub use dispatch::{Dispatcher, DispatcherConfig, FleetJobHandle, WorkerStatus};
 pub use joblog::{JobLog, LogRecord, Terminal};
-pub use server::{FleetServer, FleetShutdownHandle};
+pub use server::FleetServer;
 pub use store::ResultStore;

@@ -22,7 +22,8 @@
 //! * [`net`] — [`ExperimentServer`]/[`ServiceClient`]: the same API
 //!   over TCP as line-delimited JSON (`std::net`, no external deps),
 //!   multiplexing any number of jobs per connection; `secddr-serve` is
-//!   the binary.
+//!   the binary. The server is [`LineServer`] over the
+//!   [`LineHandler`] trait, so the fleet dispatcher reuses it whole.
 //! * [`json`] — the minimal hand-rolled JSON the wire rides on.
 //!
 //! # Example
@@ -49,7 +50,10 @@ pub mod service;
 pub mod spec;
 
 pub use json::Json;
-pub use net::{ExperimentServer, ServiceClient, ShutdownHandle, WireCacheStats, WireEvent};
+pub use net::{
+    ExperimentServer, LineHandler, LineServer, ServiceClient, ShutdownHandle, WireCacheStats,
+    WireEvent,
+};
 pub use pool::{resolve_threads, CancelToken, PoolGauges, WorkerPool, DEFAULT_THREAD_CAP};
 pub use service::{
     CellResult, ExperimentService, JobEvent, JobHandle, JobId, JobOutcome, JobSummary, ServiceStats,

@@ -1,41 +1,47 @@
-//! Line-delimited-JSON TCP front-end: [`ExperimentServer`] exposes an
-//! [`ExperimentService`] to concurrent clients; [`ServiceClient`] is the
-//! matching blocking client.
+//! Line-delimited-JSON TCP front end: [`LineServer`] serves any
+//! [`LineHandler`] backend to concurrent clients, and [`ServiceClient`]
+//! is the matching blocking client. [`ExperimentServer`] is the server
+//! over one [`ExperimentService`] (`secddr-serve`); the fleet crate
+//! puts its dispatcher behind the same server (`secddr-dispatch`).
 //!
 //! # Protocol
 //!
 //! One JSON object per `\n`-terminated line, both directions.
-//! Requests:
+//! Requests (the last two go to [`LineHandler::command`]; the service
+//! answers them):
 //!
 //! ```text
 //! {"cmd":"submit","spec":{…}}      → {"type":"submitted","job":N,"cells":M}
 //! {"cmd":"cancel","job":N}         → {"type":"cancel_ack","job":N,"cancelled":bool}
-//! {"cmd":"cache_stats"}            → {"type":"cache_stats",…}
 //! {"cmd":"metrics"}                → {"type":"metrics","counters":{…},…}
-//! {"cmd":"series","job":N}         → {"type":"series","job":N,"available":bool,…}
 //! {"cmd":"ping"}                   → {"type":"pong"}
 //! {"cmd":"shutdown"}               → {"type":"shutting_down"} (server then exits)
+//! {"cmd":"cache_stats"}            → {"type":"cache_stats",…}
+//! {"cmd":"series","job":N}         → {"type":"series","job":N,"available":bool,…}
 //! ```
 //!
 //! After a successful submit the job's events stream to the same
 //! connection as `{"type":"queued"|"started"|"cell"|"metrics_frame"|
-//! "finished"|"cancelled","job":N,…}` lines (one live `metrics_frame`
-//! per completed cell). Events of one job are written by one
-//! forwarder thread in stream order, so **per-job** event order is
-//! preserved; events of different jobs (and command responses)
+//! "finished"|"cancelled"|"failed","job":N,…}` lines (the service sends
+//! one live `metrics_frame` per completed cell). The `submitted` ack is
+//! written before any event line of its job. Events of one job are
+//! written by one forwarder thread in stream order, so **per-job** event
+//! order is preserved; events of different jobs (and command responses)
 //! interleave arbitrarily between them — every line carries its job id.
 //! Malformed input produces `{"type":"error","message":…}` and keeps
-//! the connection open.
+//! the connection open. A request line longer than [`MAX_REQUEST_LINE`]
+//! bytes gets an error and the connection is closed.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cpu_model::SimResult;
+use secddr_telemetry::Registry;
 
 use crate::json::Json;
-use crate::service::{ExperimentService, JobEvent, JobId, ServiceStats};
+use crate::service::{ExperimentService, JobEvent, JobHandle, JobId, ServiceStats};
 use crate::spec::JobSpec;
 
 /// Serializes one job event to its wire object.
@@ -142,10 +148,8 @@ fn stats_to_json(stats: &ServiceStats) -> Json {
 /// name→`{count,sum,mean,p50,p95,p99}` (percentiles carry the
 /// histogram's documented bucket-upper-bound semantics; the full bucket
 /// vectors stay in-process — the wire view is for dashboards and CI
-/// assertions). Public so other front-ends speaking the same protocol
-/// (the fleet dispatcher) serve an identical `metrics` response shape.
-#[must_use]
-pub fn metrics_to_json(snap: &secddr_telemetry::TelemetrySnapshot) -> Json {
+/// assertions).
+fn metrics_to_json(snap: &secddr_telemetry::TelemetrySnapshot) -> Json {
     let map = |entries: &std::collections::BTreeMap<String, u64>| {
         Json::Obj(
             entries
@@ -212,11 +216,22 @@ fn series_to_json(job: u64, series: Option<&secddr_telemetry::SeriesSnapshot>) -
     Json::Obj(members)
 }
 
-fn error_json(message: impl Into<String>) -> Json {
+/// The `{"type":"error","message":…}` reply.
+#[must_use]
+pub fn error_json(message: impl Into<String>) -> Json {
     Json::Obj(vec![
         ("type".into(), Json::str("error")),
         ("message".into(), Json::Str(message.into())),
     ])
+}
+
+/// The request's `job` id, or else the `error` reply saying that `cmd`
+/// needs one.
+pub fn job_arg(request: &Json, cmd: &str) -> Result<u64, Json> {
+    request
+        .get("job")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| error_json(format!("{cmd} needs a \"job\" id")))
 }
 
 /// Writes one JSON line under the connection's write lock.
@@ -227,26 +242,110 @@ fn write_line(writer: &Mutex<TcpStream>, json: &Json) -> std::io::Result<()> {
     stream.write_all(line.as_bytes())
 }
 
-/// The TCP front-end over one [`ExperimentService`].
-pub struct ExperimentServer {
-    service: Arc<ExperimentService>,
+/// The longest request line a server reads, in bytes without the
+/// newline. A longer line gets an `error` reply and the connection is
+/// closed, so no client can grow the server's memory without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// One job's wire events in stream order, ending with its terminal
+/// event. Dropping it before the end means the client went away.
+pub type EventStream = Box<dyn Iterator<Item = Json> + Send>;
+
+/// A job-running backend behind a [`LineServer`]. The server owns the
+/// socket, the line framing and the shared commands; the handler owns
+/// the jobs.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Accepts a job and returns its id, its cell count and its events,
+    /// or else the rejection message the client gets as an `error` line.
+    fn submit(&self, spec: JobSpec) -> Result<(u64, usize, EventStream), String>;
+
+    /// Cancels a job; `true` if it was live.
+    fn cancel(&self, job: u64) -> bool;
+
+    /// Blocks until every accepted job reached its terminal event.
+    fn drain(&self);
+
+    /// Answers a command the server does not handle itself; `None`
+    /// makes it an unknown command.
+    fn command(&self, cmd: &str, request: &Json) -> Option<Json>;
+}
+
+/// [`ExperimentService`] events on the wire. Dropping the stream cancels
+/// the job (a no-op once it is terminal), so the pool stops running
+/// cells for a client that went away.
+struct ServiceEvents(JobHandle);
+
+impl Iterator for ServiceEvents {
+    type Item = Json;
+
+    fn next(&mut self) -> Option<Json> {
+        self.0.next_event().map(|event| event_to_json(&event))
+    }
+}
+
+impl Drop for ServiceEvents {
+    fn drop(&mut self) {
+        self.0.cancel();
+    }
+}
+
+impl LineHandler for ExperimentService {
+    fn submit(&self, spec: JobSpec) -> Result<(u64, usize, EventStream), String> {
+        let cells = spec.cell_count().unwrap_or(0);
+        let handle = ExperimentService::submit(self, spec).map_err(|e| e.to_string())?;
+        Ok((handle.id().0, cells, Box::new(ServiceEvents(handle))))
+    }
+
+    fn cancel(&self, job: u64) -> bool {
+        ExperimentService::cancel(self, JobId(job))
+    }
+
+    fn drain(&self) {
+        ExperimentService::drain(self);
+    }
+
+    fn command(&self, cmd: &str, request: &Json) -> Option<Json> {
+        match cmd {
+            "cache_stats" => Some(stats_to_json(&self.stats())),
+            "series" => Some(match job_arg(request, "series") {
+                Ok(job) => series_to_json(job, self.job_series(JobId(job)).as_ref()),
+                Err(reply) => reply,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// The TCP front end over one [`LineHandler`].
+pub struct LineServer<H> {
+    handler: Arc<H>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
 }
 
-impl ExperimentServer {
+/// The TCP front end over one [`ExperimentService`] (`secddr-serve`).
+pub type ExperimentServer = LineServer<ExperimentService>;
+
+impl<H: LineHandler> LineServer<H> {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) over
-    /// `service`.
+    /// `handler`.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn bind(addr: impl ToSocketAddrs, service: ExperimentService) -> std::io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, handler: H) -> std::io::Result<Self> {
         Ok(Self {
-            service: Arc::new(service),
+            handler: Arc::new(handler),
             listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
+    }
+
+    /// A shared handle to the backend, for operations hooks while
+    /// [`Self::serve`] owns `self`.
+    #[must_use]
+    pub fn handler(&self) -> Arc<H> {
+        Arc::clone(&self.handler)
     }
 
     /// The bound address (read the ephemeral port from here).
@@ -271,14 +370,11 @@ impl ExperimentServer {
     /// Accepts and serves connections until a shutdown is requested,
     /// drains in-flight jobs, and returns.
     ///
-    /// The drain is explicit ([`ExperimentService::drain`]) rather than
-    /// relying on dropping the service: connection threads hold their
-    /// own references, so a drop here would not join the pool. Every
-    /// queued/running job reaches its terminal event before this
-    /// returns — the "clean shutdown" the CI gate asserts. (Forwarder
-    /// threads may still be flushing final event lines to slow clients
-    /// when the process exits; a client that needs the terminal event
-    /// should read it before requesting shutdown, as the example does.)
+    /// The drain is explicit ([`LineHandler::drain`]) because connection
+    /// threads hold their own handler references. Every accepted job
+    /// reaches its terminal event before this returns; forwarders may
+    /// still be writing it to slow clients, so a client that needs it
+    /// should read it before requesting shutdown.
     ///
     /// # Errors
     ///
@@ -292,19 +388,16 @@ impl ExperimentServer {
             let Ok(stream) = incoming else {
                 continue;
             };
-            let service = Arc::clone(&self.service);
-            let shutdown = ShutdownHandle {
-                shutdown: Arc::clone(&self.shutdown),
-                addr: self.local_addr().ok(),
-            };
-            std::thread::spawn(move || handle_connection(stream, &service, &shutdown));
+            let handler = Arc::clone(&self.handler);
+            let shutdown = self.shutdown_handle();
+            std::thread::spawn(move || handle_connection(stream, &*handler, &shutdown));
         }
-        self.service.drain();
+        self.handler.drain();
         Ok(())
     }
 }
 
-/// Makes a running [`ExperimentServer::serve`] loop return.
+/// Makes a running [`LineServer::serve`] loop return.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     shutdown: Arc<AtomicBool>,
@@ -323,127 +416,114 @@ impl ShutdownHandle {
     }
 }
 
-fn handle_connection(stream: TcpStream, service: &ExperimentService, shutdown: &ShutdownHandle) {
+fn handle_connection<H: LineHandler>(stream: TcpStream, handler: &H, shutdown: &ShutdownHandle) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(Mutex::new(stream));
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return, // disconnected
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = write_line(&writer, &error_json(message));
+            // FIN right behind the error line: the client reads the
+            // reply and then end-of-stream, even though the rest of its
+            // line is never read.
+            let _ = writer
+                .lock()
+                .expect("writer lock")
+                .shutdown(Shutdown::Write);
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line).map(str::trim) else {
+            return; // not a text protocol client
+        };
+        if text.is_empty() {
             continue;
         }
-        let request = match Json::parse(line.trim()) {
+        let request = match Json::parse(text) {
             Ok(v) => v,
             Err(e) => {
                 let _ = write_line(&writer, &error_json(format!("bad json: {e}")));
                 continue;
             }
         };
-        match request.get("cmd").and_then(Json::as_str) {
+        let reply = match request.get("cmd").and_then(Json::as_str) {
             Some("submit") => {
-                let response = handle_submit(&request, service, &writer);
-                if write_line(&writer, &response).is_err() {
+                if submit(handler, &request, &writer).is_err() {
                     return;
                 }
+                continue;
             }
-            Some("cancel") => {
-                let Some(job) = request.get("job").and_then(Json::as_u64) else {
-                    let _ = write_line(&writer, &error_json("cancel needs a \"job\" id"));
-                    continue;
-                };
-                let cancelled = service.cancel(JobId(job));
-                let ack = Json::Obj(vec![
+            Some("cancel") => match job_arg(&request, "cancel") {
+                Ok(job) => Json::Obj(vec![
                     ("type".into(), Json::str("cancel_ack")),
                     ("job".into(), Json::u64(job)),
-                    ("cancelled".into(), Json::Bool(cancelled)),
-                ]);
-                if write_line(&writer, &ack).is_err() {
-                    return;
-                }
-            }
-            Some("cache_stats") => {
-                if write_line(&writer, &stats_to_json(&service.stats())).is_err() {
-                    return;
-                }
-            }
-            Some("metrics") => {
-                if write_line(&writer, &metrics_to_json(&service.telemetry_snapshot())).is_err() {
-                    return;
-                }
-            }
-            Some("series") => {
-                let Some(job) = request.get("job").and_then(Json::as_u64) else {
-                    let _ = write_line(&writer, &error_json("series needs a \"job\" id"));
-                    continue;
-                };
-                let response = series_to_json(job, service.job_series(JobId(job)).as_ref());
-                if write_line(&writer, &response).is_err() {
-                    return;
-                }
-            }
-            Some("ping") => {
-                let pong = Json::Obj(vec![("type".into(), Json::str("pong"))]);
-                if write_line(&writer, &pong).is_err() {
-                    return;
-                }
-            }
+                    ("cancelled".into(), Json::Bool(handler.cancel(job))),
+                ]),
+                Err(reply) => reply,
+            },
+            Some("metrics") => metrics_to_json(&Registry::global().snapshot()),
+            Some("ping") => Json::Obj(vec![("type".into(), Json::str("pong"))]),
             Some("shutdown") => {
                 let bye = Json::Obj(vec![("type".into(), Json::str("shutting_down"))]);
                 let _ = write_line(&writer, &bye);
                 shutdown.shutdown();
                 return;
             }
-            other => {
-                let _ = write_line(&writer, &error_json(format!("unknown cmd {other:?}")));
-            }
+            other => other
+                .and_then(|cmd| handler.command(cmd, &request))
+                .unwrap_or_else(|| error_json(format!("unknown cmd {other:?}"))),
+        };
+        if write_line(&writer, &reply).is_err() {
+            return;
         }
     }
 }
 
-fn handle_submit(
+/// Runs a `submit` request: the ack (or the error) goes out first, then
+/// one forwarder thread streams the job's events.
+fn submit<H: LineHandler>(
+    handler: &H,
     request: &Json,
-    service: &ExperimentService,
     writer: &Arc<Mutex<TcpStream>>,
-) -> Json {
-    let Some(spec_json) = request.get("spec") else {
-        return error_json("submit needs a \"spec\" member");
+) -> std::io::Result<()> {
+    let submitted = request
+        .get("spec")
+        .ok_or_else(|| "submit needs a \"spec\" member".to_string())
+        .and_then(|spec| JobSpec::from_json(spec).map_err(|e| e.to_string()))
+        .and_then(|spec| handler.submit(spec));
+    let (job, cells, events) = match submitted {
+        Ok(submitted) => submitted,
+        Err(message) => return write_line(writer, &error_json(message)),
     };
-    let spec = match JobSpec::from_json(spec_json) {
-        Ok(spec) => spec,
-        Err(e) => return error_json(e.to_string()),
-    };
-    let cells = spec.cell_count().map_or(0, |c| c as u64);
-    match service.submit(spec) {
-        Ok(handle) => {
-            let job = handle.id().0;
-            let writer = Arc::clone(writer);
-            // One forwarder per job keeps per-job event order on the
-            // wire; the shared writer lock serializes whole lines.
-            std::thread::spawn(move || {
-                for event in handle.events() {
-                    if write_line(&writer, &event_to_json(&event)).is_err() {
-                        // Client gone: cancel so the worker stops
-                        // burning cycles on unobservable results.
-                        handle.cancel();
-                        return;
-                    }
-                }
-            });
-            Json::Obj(vec![
-                ("type".into(), Json::str("submitted")),
-                ("job".into(), Json::u64(job)),
-                ("cells".into(), Json::u64(cells)),
-            ])
+    let ack = Json::Obj(vec![
+        ("type".into(), Json::str("submitted")),
+        ("job".into(), Json::u64(job)),
+        ("cells".into(), Json::u64(cells as u64)),
+    ]);
+    // The ack is on the wire before the forwarder exists, so no event of
+    // the job can overtake it: the dispatcher drops a worker's events
+    // for jobs it has no ack for.
+    write_line(writer, &ack)?;
+    let writer = Arc::clone(writer);
+    // One forwarder per job keeps per-job event order on the wire; the
+    // shared writer lock serializes whole lines.
+    std::thread::spawn(move || {
+        for event in events {
+            if write_line(&writer, &event).is_err() {
+                return; // dropping `events` tells the handler the client left
+            }
         }
-        Err(e) => error_json(e.to_string()),
-    }
+    });
+    Ok(())
 }
 
 /// A parsed server→client line.
@@ -622,7 +702,7 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Connects to a running [`ExperimentServer`].
+    /// Connects to a running [`LineServer`].
     ///
     /// # Errors
     ///
@@ -796,13 +876,22 @@ impl ServiceClient {
     ///
     /// Propagates transport errors.
     pub fn metrics(&mut self) -> std::io::Result<std::collections::BTreeMap<String, u64>> {
+        self.metrics_map("counters")
+    }
+
+    /// One name→value member (`counters` or `gauges`) of a fresh
+    /// `metrics` response.
+    fn metrics_map(
+        &mut self,
+        member: &str,
+    ) -> std::io::Result<std::collections::BTreeMap<String, u64>> {
         self.send(&Json::Obj(vec![("cmd".into(), Json::str("metrics"))]))?;
         let response =
             self.read_until(|j| j.get("type").and_then(Json::as_str) == Some("metrics"))?;
-        let Some(Json::Obj(entries)) = response.get("counters") else {
+        let Some(Json::Obj(entries)) = response.get(member) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                "metrics response without counters",
+                format!("metrics response without {member}"),
             ));
         };
         Ok(entries
@@ -833,19 +922,7 @@ impl ServiceClient {
     ///
     /// Propagates transport errors.
     pub fn gauges(&mut self) -> std::io::Result<std::collections::BTreeMap<String, u64>> {
-        self.send(&Json::Obj(vec![("cmd".into(), Json::str("metrics"))]))?;
-        let response =
-            self.read_until(|j| j.get("type").and_then(Json::as_str) == Some("metrics"))?;
-        let Some(Json::Obj(entries)) = response.get("gauges") else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "metrics response without gauges",
-            ));
-        };
-        Ok(entries
-            .iter()
-            .filter_map(|(k, v)| v.as_u64().map(|v| (k.clone(), v)))
-            .collect())
+        self.metrics_map("gauges")
     }
 
     /// Fetches a job's stored sim-time series (specs with a nonzero
@@ -908,5 +985,84 @@ impl ServiceClient {
         self.send(&Json::Obj(vec![("cmd".into(), Json::str("shutdown"))]))?;
         self.read_until(|j| j.get("type").and_then(Json::as_str) == Some("shutting_down"))?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicU64;
+
+    /// A backend whose jobs are over before `submit` returns: each
+    /// job's whole event stream is ready the moment it is accepted.
+    struct InstantJobs {
+        next: AtomicU64,
+    }
+
+    impl LineHandler for InstantJobs {
+        fn submit(&self, _spec: JobSpec) -> Result<(u64, usize, EventStream), String> {
+            let job = self.next.fetch_add(1, Ordering::Relaxed);
+            let event = |kind: &str| {
+                Json::Obj(vec![
+                    ("type".into(), Json::str(kind)),
+                    ("job".into(), Json::u64(job)),
+                ])
+            };
+            let events = vec![event("queued"), event("started"), event("finished")];
+            Ok((job, 1, Box::new(events.into_iter())))
+        }
+
+        fn cancel(&self, _job: u64) -> bool {
+            false
+        }
+
+        fn drain(&self) {}
+
+        fn command(&self, _cmd: &str, _request: &Json) -> Option<Json> {
+            None
+        }
+    }
+
+    #[test]
+    fn submit_ack_precedes_every_event_of_its_job() {
+        const JOBS: usize = 200;
+        let server = LineServer::bind(
+            "127.0.0.1:0",
+            InstantJobs {
+                next: AtomicU64::new(1),
+            },
+        )
+        .expect("bind loopback");
+        let addr = server.local_addr().expect("bound address");
+        let shutdown = server.shutdown_handle();
+        let serve = std::thread::spawn(move || server.serve());
+
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let submit = Json::Obj(vec![
+            ("cmd".into(), Json::str("submit")),
+            ("spec".into(), JobSpec::bench("mcf").to_json()),
+        ]);
+        stream
+            .write_all(format!("{submit}\n").repeat(JOBS).as_bytes())
+            .expect("send submits");
+        let mut reader = BufReader::new(stream);
+        let mut first_line_of = HashMap::new();
+        let mut finished = 0;
+        while finished < JOBS {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).expect("read") > 0, "early EOF");
+            let json = Json::parse(line.trim()).expect("server sends JSON");
+            let kind = json.get("type").and_then(Json::as_str).expect("typed line");
+            let job = json.get("job").and_then(Json::as_u64).expect("job id");
+            first_line_of.entry(job).or_insert_with(|| kind.to_string());
+            finished += usize::from(kind == "finished");
+        }
+        assert_eq!(first_line_of.len(), JOBS);
+        for (job, kind) in &first_line_of {
+            assert_eq!(kind, "submitted", "job {job}: an event overtook the ack");
+        }
+        shutdown.shutdown();
+        serve.join().expect("serve thread").expect("clean exit");
     }
 }

@@ -147,7 +147,7 @@ fn main() {
             )
             .expect("bind dispatcher");
             let addr = server.local_addr().expect("bound address").to_string();
-            let dispatcher = server.dispatcher();
+            let dispatcher = server.handler();
             println!("started in-process dispatcher on {addr}");
             (
                 addr,

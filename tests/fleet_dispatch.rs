@@ -1,8 +1,9 @@
 //! Fleet dispatcher integration: the dispatcher's event stream is
 //! bit-identical to the single-service path, identical resubmissions
 //! are served entirely from the result store (zero cells executed),
-//! and killing one of N workers requeues its work and completes the
-//! job with correct results.
+//! back-to-back jobs with millisecond cells all finish, and killing one
+//! of N workers requeues its work and completes the job with correct
+//! results.
 
 use secddr::core::config::SecurityConfig;
 use secddr::fleet::{Dispatcher, DispatcherConfig};
@@ -11,6 +12,7 @@ use secddr::service::{ExperimentServer, ExperimentService, JobSpec, Json, Shutdo
 use secddr::Registry;
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Serializes the tests in this binary: the fleet counters the
 /// assertions read are process-wide, so a concurrently running sibling
@@ -154,6 +156,39 @@ fn identical_resubmission_executes_zero_cells_with_identical_results() {
             .wait(),
     );
     assert_eq!(third, first);
+}
+
+#[test]
+fn back_to_back_one_millisecond_cells_all_finish() {
+    const JOBS: u64 = 100;
+    let _guard = serialize();
+    let worker = WorkerGuard::start(2);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![worker.addr.to_string()],
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    // A 1,000-instruction cell finishes in about a millisecond, fast
+    // enough to race its worker's submit ack. A lost job would block
+    // forever, so the jobs run on their own thread under a deadline.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let jobs = std::thread::spawn(move || {
+        for seed in 0..JOBS {
+            let mut spec = two_config_spec();
+            spec.instructions = 1_000;
+            spec.seed = seed; // a fresh seed misses the result store
+            let events = dispatcher.submit(&spec).expect("submit").wait();
+            let last = events.last().and_then(|e| e.get("type")?.as_str());
+            assert_eq!(last, Some("finished"), "job {seed}: {events:?}");
+            done_tx.send(()).expect("test thread listening");
+        }
+    });
+    for seed in 0..JOBS {
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("job {seed} did not finish: {e}"));
+    }
+    jobs.join().expect("job thread");
 }
 
 #[test]

@@ -1,14 +1,20 @@
 //! TCP front-end tests: ≥4 simultaneous clients over a loopback
 //! [`ExperimentServer`], per-job event-stream ordering, cancellation
-//! that actually stops work, the cache-stats endpoint, and clean
-//! shutdown.
+//! that actually stops work, the cache-stats endpoint, malformed and
+//! oversize requests (answered alike by the fleet's `FleetServer`), and
+//! clean shutdown.
 
 use secddr::core::config::SecurityConfig;
+use secddr::fleet::{Dispatcher, DispatcherConfig, FleetServer};
+use secddr::service::net::MAX_REQUEST_LINE;
 use secddr::service::{
-    ExperimentServer, ExperimentService, JobSpec, ServiceClient, SuiteSel, WireEvent, Workload,
+    ExperimentServer, ExperimentService, JobSpec, Json, ServiceClient, SuiteSel, WireEvent,
+    Workload,
 };
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Serializes the tests in this binary: the trace-cache counters the
 /// cache-stats assertions read are *process-wide*, so a concurrently
@@ -202,10 +208,75 @@ fn warm_trace_cache_is_visible_through_cache_stats() {
     server.join().expect("serve thread").expect("clean exit");
 }
 
+fn read_reply(reader: &mut impl BufRead) -> Json {
+    let mut line = String::new();
+    assert!(reader.read_line(&mut line).expect("reply") > 0, "early EOF");
+    Json::parse(line.trim()).expect("server sends JSON")
+}
+
+fn reply_type(reply: &Json) -> &str {
+    reply.get("type").and_then(Json::as_str).unwrap_or("")
+}
+
+/// Sends each malformed request on one raw connection, asserts each
+/// gets an `error` reply and that a final `ping` is still answered, and
+/// returns the error replies in order.
+fn malformed_replies(addr: SocketAddr) -> Vec<Json> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let cases = [
+        ("not json", "bad json"),
+        (
+            r#"{"cmd":"frobnicate"}"#,
+            "unknown cmd Some(\"frobnicate\")",
+        ),
+        (r#"{"no_cmd":true}"#, "unknown cmd None"),
+        (r#"{"cmd":"cancel"}"#, "cancel needs a \"job\" id"),
+        (r#"{"cmd":"series"}"#, "series needs a \"job\" id"),
+        (r#"{"cmd":"submit"}"#, "submit needs a \"spec\" member"),
+    ];
+    let replies = cases
+        .iter()
+        .map(|(request, expected)| {
+            writeln!(writer, "{request}").expect("send");
+            let reply = read_reply(&mut reader);
+            assert_eq!(reply_type(&reply), "error", "{request} -> {reply}");
+            let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+            assert!(message.contains(expected), "{request} -> {reply}");
+            reply
+        })
+        .collect();
+    writeln!(writer, r#"{{"cmd":"ping"}}"#).expect("send ping");
+    assert_eq!(reply_type(&read_reply(&mut reader)), "pong", "still open");
+    replies
+}
+
 #[test]
 fn malformed_requests_keep_the_connection_alive() {
     let _guard = serialize();
     let (addr, server) = start_server(1);
+    // Both servers share one front end, so a dispatcher with this
+    // server as its worker answers malformed requests identically.
+    let worker_replies = malformed_replies(addr);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![addr.to_string()],
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let fleet = FleetServer::bind("127.0.0.1:0", dispatcher).expect("bind dispatcher");
+    let fleet_addr = fleet.local_addr().expect("bound address");
+    let fleet_serve = std::thread::spawn(move || fleet.serve());
+    assert_eq!(malformed_replies(fleet_addr), worker_replies);
+    ServiceClient::connect(fleet_addr)
+        .expect("connect to the dispatcher")
+        .shutdown_server()
+        .expect("dispatcher shutdown");
+    fleet_serve
+        .join()
+        .expect("dispatcher thread")
+        .expect("clean dispatcher exit");
+
     let mut client = ServiceClient::connect(addr).expect("connect");
     // An unknown benchmark is rejected server-side with an error line…
     let bad = tiny_spec("mcf", 1_000);
@@ -221,6 +292,43 @@ fn malformed_requests_keep_the_connection_alive() {
         .expect("good submit");
     let events = client.stream_job(job).expect("stream");
     assert_ordered_stream(&events, job);
+    client.shutdown_server().expect("shutdown");
+    server.join().expect("serve thread").expect("clean exit");
+}
+
+#[test]
+fn oversize_request_line_is_refused_and_the_server_lives_on() {
+    let _guard = serialize();
+    let (addr, server) = start_server(1);
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A server that buffers the whole line never answers: time out
+    // instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut flood = stream.try_clone().expect("clone stream");
+    // The server stops reading at the cap, so the tail of the line may
+    // meet a closed socket; only the reply matters.
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let reply = read_reply(&mut reader);
+    assert_eq!(reply_type(&reply), "error", "{reply}");
+    assert_eq!(
+        reply.get("message").and_then(Json::as_str),
+        Some(format!("request line exceeds {MAX_REQUEST_LINE} bytes").as_str())
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("clean end of stream"),
+        0,
+        "the server closed the connection"
+    );
+    writer.join().expect("writer thread");
+
+    let mut client = ServiceClient::connect(addr).expect("second connection");
+    client.ping().expect("the server still answers");
     client.shutdown_server().expect("shutdown");
     server.join().expect("serve thread").expect("clean exit");
 }
