@@ -820,8 +820,12 @@ impl Dispatcher {
         let mut readers = Vec::new();
         let mut sockets = Vec::new();
         for (idx, addr) in config.workers.iter().enumerate() {
-            let link = TcpStream::connect(addr)
-                .and_then(|stream| Ok((stream.try_clone()?, stream.try_clone()?, stream)));
+            // `TCP_NODELAY` as at the server end: each submit is one
+            // small line that must not wait for a delayed ACK.
+            let link = TcpStream::connect(addr).and_then(|stream| {
+                stream.set_nodelay(true)?;
+                Ok((stream.try_clone()?, stream.try_clone()?, stream))
+            });
             match link {
                 Ok((reader_stream, shutdown_clone, stream)) => {
                     let tx = tx.clone();

@@ -388,6 +388,10 @@ impl<H: LineHandler> LineServer<H> {
             let Ok(stream) = incoming else {
                 continue;
             };
+            // Every reply and event is one small line: with Nagle on,
+            // each write after the first waits for the peer's delayed
+            // ACK (~40 ms on Linux) before it leaves.
+            let _ = stream.set_nodelay(true);
             let handler = Arc::clone(&self.handler);
             let shutdown = self.shutdown_handle();
             std::thread::spawn(move || handle_connection(stream, &*handler, &shutdown));
@@ -679,7 +683,7 @@ impl WireEvent {
 /// Wire view of the server's cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCacheStats {
-    /// Trace requests answered from the in-process memo map.
+    /// Trace requests answered from the in-process memo.
     pub trace_memory_hits: u64,
     /// Trace requests answered from the disk tier.
     pub trace_disk_hits: u64,
@@ -709,6 +713,8 @@ impl ServiceClient {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        // Requests are small lines; see `LineServer::serve`.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self {
             reader,

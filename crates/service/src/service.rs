@@ -556,8 +556,10 @@ fn run_job(
 }
 
 /// Runs one benchmark × configuration cell with the spec's machine
-/// shape. Traces come from [`Benchmark::generate_shared`], so repeated
-/// specs hit the warm in-process cache (and restarts hit the disk tier).
+/// shape. Traces come from [`Benchmark::generate_shared`], so a repeated
+/// spec hits the warm in-process cache while its trace is among the
+/// [`workloads::TRACE_MEMO_CAPACITY`] most recently used ones (older
+/// traces and restarts hit the disk tier).
 ///
 /// When the spec set a nonzero `epoch_width` the sharded and multi-core
 /// shapes also return the cell's sim-time series (scheduler and channel

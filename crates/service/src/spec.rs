@@ -62,6 +62,15 @@ pub struct JobSpec {
 /// simulator's memory footprint scales with both).
 const MAX_WIDTH: usize = 64;
 
+/// Upper bound on the per-benchmark instruction budget. A generated
+/// trace costs ~13–26 bytes per instruction, so one trace stays under
+/// ~260 MB, and the trace memo holds a bounded number of them.
+const MAX_INSTRUCTIONS: u64 = 10_000_000;
+
+/// Upper bound on a job's benchmark × configuration cells: the whole
+/// suite under 35 configurations (the Figure 6 matrix is 174 cells).
+const MAX_CELLS: usize = 1_024;
+
 impl JobSpec {
     /// A single-core, single-channel SecDDR+CTR run of one benchmark at
     /// a 40k-instruction budget — the smallest useful job; adjust fields
@@ -108,8 +117,15 @@ impl JobSpec {
                 "channels must be in 1..={MAX_WIDTH}"
             )));
         }
-        if self.instructions == 0 {
-            return Err(SpecError::Invalid("instruction budget must be > 0".into()));
+        if self.instructions == 0 || self.instructions > MAX_INSTRUCTIONS {
+            return Err(SpecError::Invalid(format!(
+                "instruction budget must be in 1..={MAX_INSTRUCTIONS}"
+            )));
+        }
+        if self.cell_count()? > MAX_CELLS {
+            return Err(SpecError::Invalid(format!(
+                "a job runs at most {MAX_CELLS} benchmark × config cells"
+            )));
         }
         Ok(())
     }
@@ -567,6 +583,33 @@ mod tests {
             incompatible.validate(),
             Err(SpecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn instruction_budget_cap_is_inclusive() {
+        let mut spec = JobSpec::bench("mcf");
+        spec.instructions = MAX_INSTRUCTIONS;
+        spec.validate().unwrap();
+        spec.instructions = MAX_INSTRUCTIONS + 1;
+        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+        spec.instructions = u64::MAX;
+        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
+    fn cell_count_cap_is_inclusive() {
+        let mut spec = JobSpec::bench("mcf");
+        spec.configs = vec![SecurityConfig::secddr_ctr(); MAX_CELLS];
+        spec.validate().unwrap();
+        spec.configs.push(SecurityConfig::tdx_baseline());
+        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+        // The cap counts cells, not configs: the whole suite multiplies.
+        let mut suite = JobSpec::bench("mcf");
+        suite.workload = Workload::Suite(SuiteSel::All);
+        suite.configs = vec![SecurityConfig::secddr_ctr(); MAX_CELLS / 29];
+        suite.validate().unwrap();
+        suite.configs.push(SecurityConfig::secddr_ctr());
+        assert!(matches!(suite.validate(), Err(SpecError::Invalid(_))));
     }
 
     #[test]

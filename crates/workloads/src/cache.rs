@@ -2,7 +2,7 @@
 //! `(benchmark, instruction budget, seed)`.
 //!
 //! [`Benchmark::generate_shared`](crate::Benchmark::generate_shared)
-//! consults three tiers: the in-process memo map, then this disk cache,
+//! consults three tiers: the bounded in-process memo, then this disk cache,
 //! then the trace kernels themselves. A repeated *process* (a restarted
 //! experiment service, a re-run bench binary) therefore skips trace
 //! generation entirely — the remaining step of the ROADMAP's
@@ -48,7 +48,7 @@ const TAG_STORE: u8 = 3;
 /// service's cache-stats endpoint reports these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// `generate_shared` calls answered by the in-process memo map.
+    /// `generate_shared` calls answered by the in-process memo.
     pub memory_hits: u64,
     /// Calls answered by a deserialized disk file.
     pub disk_hits: u64,

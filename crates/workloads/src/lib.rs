@@ -27,6 +27,7 @@
 pub mod cache;
 pub mod gapbs;
 pub mod graph;
+mod memo;
 pub mod sink;
 pub mod spec;
 
@@ -36,10 +37,11 @@ pub use graph::{CsrGraph, GraphLayout};
 pub use sink::TraceSink;
 pub use spec::{Pattern, SpecProfile};
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cpu_model::TraceOp;
+
+use memo::Mru;
 
 /// Which suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,9 +83,15 @@ fn shared_graph() -> std::sync::Arc<CsrGraph> {
 /// Key of one memoized trace: `(benchmark, instruction budget, seed)`.
 type TraceKey = (&'static str, u64, u64);
 
-fn trace_cache() -> &'static Mutex<HashMap<TraceKey, Arc<Vec<TraceOp>>>> {
-    static CACHE: OnceLock<Mutex<HashMap<TraceKey, Arc<Vec<TraceOp>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// How many traces the process-wide memo of
+/// [`Benchmark::generate_shared`] keeps. Older traces fall back to the
+/// disk tier (or are regenerated), so a long-running service that sees
+/// a fresh seed per job holds a bounded amount of trace memory.
+pub const TRACE_MEMO_CAPACITY: usize = 16;
+
+fn trace_memo() -> &'static Mutex<Mru<TraceKey, Arc<Vec<TraceOp>>>> {
+    static MEMO: OnceLock<Mutex<Mru<TraceKey, Arc<Vec<TraceOp>>>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(Mru::new(TRACE_MEMO_CAPACITY)))
 }
 
 impl Benchmark {
@@ -149,26 +157,25 @@ impl Benchmark {
     }
 
     /// As [`Self::generate`], memoized per `(benchmark, budget, seed)`
-    /// through three tiers: a process-wide memo map (the
-    /// [`CsrGraph::shared`] idiom, one level up), then the on-disk
-    /// [`cache`] under `target/trace-cache/`, then the trace kernels.
-    /// Disk round-trips are lossless, so all tiers hand out identical
-    /// traces; freshly generated traces are persisted best-effort so
-    /// the *next process* skips the kernels too.
+    /// through three tiers: a process-wide memo of the
+    /// [`TRACE_MEMO_CAPACITY`] most recently used traces (the
+    /// [`CsrGraph::shared`] idiom, one level up, but bounded), then the
+    /// on-disk [`cache`] under `target/trace-cache/`, then the trace
+    /// kernels. Disk round-trips are lossless and generation is
+    /// deterministic, so all tiers hand out identical traces; freshly
+    /// generated traces are persisted best-effort so the *next process*
+    /// (or the next request after an eviction) skips the kernels too.
     ///
     /// Rate-mode multi-core runs and repeated sweeps hand each consumer
     /// an `Arc` of one trace instead of regenerating or deep-cloning it
-    /// per core. [`trace_cache_stats`] reports the per-tier hit
-    /// counters (the experiment service's cache-stats endpoint).
+    /// per core, as long as the key is among the most recent ones.
+    /// [`trace_cache_stats`] reports the per-tier hit counters (the
+    /// experiment service's cache-stats endpoint).
     pub fn generate_shared(&self, instruction_budget: u64, seed: u64) -> Arc<Vec<TraceOp>> {
         let key = (self.name(), instruction_budget, seed);
-        if let Some(t) = trace_cache()
-            .lock()
-            .expect("trace cache poisoned")
-            .get(&key)
-        {
+        if let Some(t) = trace_memo().lock().expect("trace memo poisoned").get(&key) {
             cache::count_memory_hit();
-            return Arc::clone(t);
+            return t;
         }
         // Load or generate outside the lock: trace generation can be
         // expensive (graph kernels), and a parallel sweep's first
@@ -181,13 +188,18 @@ impl Benchmark {
             }
             None => {
                 cache::count_generated();
-                let generated = Arc::new(self.generate(instruction_budget, seed));
+                let mut generated = self.generate(instruction_budget, seed);
+                // The generators grow their vectors by doubling; the
+                // memo keeps only what the trace uses.
+                generated.shrink_to_fit();
                 cache::store(self.name(), instruction_budget, seed, &generated);
-                generated
+                Arc::new(generated)
             }
         };
-        let mut cache = trace_cache().lock().expect("trace cache poisoned");
-        Arc::clone(cache.entry(key).or_insert(loaded))
+        trace_memo()
+            .lock()
+            .expect("trace memo poisoned")
+            .insert(key, loaded)
     }
 }
 
@@ -229,6 +241,8 @@ mod tests {
 
     #[test]
     fn shared_traces_memoize_per_key() {
+        // The only test in this crate that touches the process-wide
+        // memo, so no other test can evict its entries between steps.
         let mcf = Benchmark::by_name("mcf").unwrap();
         let a = mcf.generate_shared(5_000, 42);
         let b = mcf.generate_shared(5_000, 42);
@@ -238,6 +252,17 @@ mod tests {
         assert_eq!(*a, mcf.generate(5_000, 42), "memoized == generated");
         let gcc = Benchmark::by_name("gcc").unwrap();
         assert!(!Arc::ptr_eq(&a, &gcc.generate_shared(5_000, 42)));
+
+        // Capacity fresh keys push (mcf, 5_000, 42) out of the memo; it
+        // comes back from the disk tier or the kernels, unchanged.
+        for seed in 0..TRACE_MEMO_CAPACITY as u64 {
+            mcf.generate_shared(500, 0x5EED_0000 + seed);
+            let held = trace_memo().lock().unwrap().len();
+            assert!(held <= TRACE_MEMO_CAPACITY, "{held} traces held");
+        }
+        let again = mcf.generate_shared(5_000, 42);
+        assert!(!Arc::ptr_eq(&a, &again), "the evicted entry was rebuilt");
+        assert_eq!(*again, *a, "an evicted trace comes back identical");
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Fleet dispatcher integration: the dispatcher's event stream is
 //! bit-identical to the single-service path, identical resubmissions
 //! are served entirely from the result store (zero cells executed),
-//! back-to-back jobs with millisecond cells all finish, and killing one
+//! back-to-back jobs with millisecond cells all finish, killing one
 //! of N workers requeues its work and completes the job with correct
-//! results.
+//! results, and small jobs finish well under the ~40 ms a delayed ACK
+//! would add to every line-protocol exchange.
 
 use secddr::core::config::SecurityConfig;
-use secddr::fleet::{Dispatcher, DispatcherConfig};
+use secddr::fleet::{Dispatcher, DispatcherConfig, FleetServer};
 use secddr::service::net::event_to_json;
-use secddr::service::{ExperimentServer, ExperimentService, JobSpec, Json, ShutdownHandle};
+use secddr::service::{
+    ExperimentServer, ExperimentService, JobSpec, Json, ServiceClient, ShutdownHandle, WireEvent,
+};
 use secddr::Registry;
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes the tests in this binary: the fleet counters the
 /// assertions read are process-wide, so a concurrently running sibling
@@ -233,5 +236,77 @@ fn killing_one_of_two_workers_requeues_and_completes_identically() {
     assert!(
         counter_delta(&after, &before, "fleet.cells.requeued") >= 1,
         "the dead worker's cell went back to the queue"
+    );
+}
+
+/// Submits `spec` `runs` times back to back over `client` and returns
+/// the median submit→`finished` time in milliseconds.
+fn median_job_ms(client: &mut ServiceClient, spec: &JobSpec, runs: usize) -> f64 {
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            let job = client.submit(spec).expect("submit");
+            let events = client.stream_job(job).expect("stream");
+            assert!(
+                matches!(events.last(), Some(WireEvent::Finished { .. })),
+                "{events:?}"
+            );
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[runs / 2]
+}
+
+/// A bound well under the ~40 ms Linux delayed ACK that Nagle's
+/// algorithm would make every small line wait for.
+const LATENCY_BOUND_MS: f64 = 20.0;
+
+#[test]
+fn store_hits_through_the_fleet_server_beat_the_delayed_ack_floor() {
+    let _guard = serialize();
+    let worker = WorkerGuard::start(1);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![worker.addr.to_string()],
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let fleet = FleetServer::bind("127.0.0.1:0", dispatcher).expect("bind dispatcher");
+    let fleet_addr = fleet.local_addr().expect("bound address");
+    let fleet_serve = std::thread::spawn(move || fleet.serve());
+    let mut client = ServiceClient::connect(fleet_addr).expect("connect");
+
+    let mut spec = JobSpec::bench("mcf");
+    spec.instructions = 1_000;
+    spec.seed = 0x1A7E_0001;
+    // The first run fills the result store; the timed resubmissions run
+    // no cell at all, so they measure the wire and the dispatcher.
+    median_job_ms(&mut client, &spec, 1);
+    let median = median_job_ms(&mut client, &spec, 20);
+    assert!(
+        median < LATENCY_BOUND_MS,
+        "store-hit median {median:.2} ms ≥ {LATENCY_BOUND_MS} ms"
+    );
+    client.shutdown_server().expect("dispatcher shutdown");
+    fleet_serve
+        .join()
+        .expect("dispatcher thread")
+        .expect("clean dispatcher exit");
+}
+
+#[test]
+fn one_cell_jobs_direct_to_a_worker_beat_the_delayed_ack_floor() {
+    let _guard = serialize();
+    let worker = WorkerGuard::start(1);
+    let mut client = ServiceClient::connect(worker.addr).expect("connect");
+    let mut spec = JobSpec::bench("mcf");
+    spec.instructions = 1_000;
+    spec.seed = 0x1A7E_0002;
+    // Warm the trace memo so the timed jobs run only the cell.
+    median_job_ms(&mut client, &spec, 1);
+    let median = median_job_ms(&mut client, &spec, 20);
+    assert!(
+        median < LATENCY_BOUND_MS,
+        "one-cell job median {median:.2} ms ≥ {LATENCY_BOUND_MS} ms"
     );
 }
