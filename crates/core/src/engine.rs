@@ -492,8 +492,9 @@ impl SecurityEngine {
     /// Lower bound (CPU cycles) on the next visible read-token time:
     /// already-computed ready times, plus in-flight transactions whose
     /// parts finish no earlier than the earliest pending data beat or —
-    /// for parts still queued — the earliest possible READ issue plus CAS
-    /// latency and burst, with the transaction's crypto latency on top.
+    /// for parts still queued — the channel's next decision cycle (a
+    /// READ issues only on one) plus CAS latency and burst, with the
+    /// transaction's crypto latency on top.
     fn completion_bound(&self) -> u64 {
         let mut bound = u64::MAX;
         if let Some(t) = self.ready.peek_time() {
@@ -520,9 +521,9 @@ impl SecurityEngine {
     /// the ready queue.
     ///
     /// With the event-driven policy the channel jumps straight to its next
-    /// *decision* cycle — the controller's exact bound on when any command
-    /// can issue, completion pop, drain flip, or refresh arm (idle or
-    /// busy; the old quiescent-only activity skip is subsumed). Metadata
+    /// *decision* cycle — the controller's lower bound on when any command
+    /// can issue, completion pop, drain flip, or refresh act (idle or
+    /// busy). Metadata
     /// -writeback retries interleave at exactly the same cycles as the
     /// per-cycle reference: while a writeback is spilled *and* the write
     /// queue has room we fall back to per-cycle stepping (the rare case —
@@ -782,8 +783,10 @@ impl MemoryBackend for SecurityEngine {
 
     fn next_read_capacity_event(&self, now: u64, _addr: u64) -> Option<u64> {
         // Read-queue capacity frees exactly when a READ column command
-        // issues; completions stay observable through the same bound.
-        // A single channel serves every address, so `_addr` is unused.
+        // issues, which happens only on a decision cycle, so the
+        // channel's decision bound is the wake-up; completions stay
+        // observable through the same bound. A single channel serves
+        // every address, so `_addr` is unused.
         let mut bound = self.completion_bound();
         if self.dram.read_queue_len() > 0 {
             bound = bound.min(self.cpu_cycle_for(self.dram.next_read_issue_cycle()));

@@ -5,15 +5,11 @@
 //!
 //! * [`DramSystem::tick`] — the per-cycle reference: advance one memory
 //!   cycle, issue at most one command, harvest due completions.
-//! * the event-driven fast path — when the controller is
-//!   [quiescent](DramSystem::is_quiescent) (the last tick performed no
-//!   action and nothing was enqueued since), every issue condition is a
-//!   monotone `now >= threshold` comparison against static timing
-//!   registers, so [`DramSystem::next_activity_cycle`] can lower-bound
-//!   the next cycle anything could happen and
-//!   [`DramSystem::skip_idle_to`] jumps the clock there in O(banks)
-//!   instead of O(cycles). Skipped cycles are provably no-ops, keeping
-//!   command schedules and statistics bit-identical to the reference.
+//! * [`DramSystem::tick_until`] — the event-driven path: jump between
+//!   *decision cycles* (see below), executing only the ticks that can
+//!   issue a command, pop a completion, flip write drain, or act on
+//!   refresh. Skipped cycles are provably no-ops, keeping command
+//!   schedules and statistics bit-identical to the reference.
 //!
 //! # Incremental scheduling state
 //!
@@ -26,51 +22,42 @@
 //! contributes at most one candidate per scheduling pass (the front of
 //! the relevant FIFO) and the FR-FCFS decision reduces to
 //! "earliest-arrived ready candidate across banks" — O(banks) per tick
-//! instead of O(queue length) rescans. Short queues (where touching
-//! every bank would cost more than touching every request) are walked
-//! directly; both paths are decision-identical.
+//! instead of O(queue length) rescans.
 //!
 //! The original full-rescan scheduler is retained as
 //! [`SchedulerMode::NaiveRescan`]; the differential tests drive both
 //! implementations over the same traffic and require bit-identical
 //! schedules.
 //!
-//! The same per-bank state feeds the event bounds: each bank caches a
-//! lower bound on its earliest possible READ column command. Timing
-//! registers only ratchet upward as commands issue, so a cached bound
-//! stays valid until it expires; only a read enqueue to that specific
-//! bank (which can genuinely lower the bank's true bound) invalidates it
-//! early. [`DramSystem::next_read_issue_cycle`] folds the per-bank
-//! bounds into a controller-level minimum, so invalidation is narrowed
-//! to the banks actually touched.
+//! # The decision bound
 //!
-//! # The decision bound: event-izing the *busy* path
-//!
-//! Quiescence only covers idle stretches. A saturated channel is never
-//! quiescent, yet most of its ticks are still no-ops — every candidate
+//! Most ticks of a busy channel are still no-ops — every candidate
 //! command is waiting out some timing threshold. The *decision bound*
-//! ([`DramSystem::next_decision_cycle`]) covers this case: for each
+//! ([`DramSystem::next_decision_cycle`]) is the one event bound: for each
 //! candidate command of the currently scheduled queue it takes the
-//! **conjunction** of the thresholds that gate it (earliest cycle all of
-//! them hold, past-due ones clamping to the next cycle), then folds in
-//! completion pops, refresh-scan actions, drain-hysteresis flips, and
-//! anti-starvation crossings. The result is a lower bound on the next
-//! non-no-op tick that is valid in *any* state, so
-//! [`DramSystem::tick_until`] can jump between decision cycles while the
-//! channel is busy. Candidates suppressed by refresh blackouts, FCFS
-//! ordering, anti-starvation, or bus-turnaround bubbles are included
-//! anyway: suppression only delays an issue, so at worst the bound wakes
-//! a tick early and executes the same no-op tick the per-cycle reference
-//! executed — never skips a decision. Per-bank conjunctions are cached
-//! ([`ratchet argument`](DramSystem::next_read_issue_cycle) as above,
-//! tagged by queue kind so drain flips simply miss), and the global
-//! bound is memoized across no-op ticks, which cannot change scheduler
-//! state.
+//! **conjunction** of the thresholds that gate it, data-bus turnaround
+//! included (earliest cycle all of them hold, past-due ones clamping to
+//! the next cycle), then folds in completion pops, refresh-scan actions,
+//! drain-hysteresis flips, and the anti-starvation onset. Once the oldest
+//! request starves, only its own next command counts. The result is the
+//! exact next decision cycle except across refresh blackouts and, under
+//! [`DramConfig::fcfs`], FCFS ordering (candidates of a rank with a
+//! refresh pending, and row hits behind the oldest request, are kept, so
+//! the bound may wake a tick early there and execute the same no-op tick
+//! the per-cycle reference executed — never skip a decision).
+//!
+//! Each bound query recomputes every occupied bank's readiness and keeps
+//! it as a per-bank *readiness snapshot*. Timing registers only ratchet
+//! upward as commands issue elsewhere, so a snapshot stays a lower bound
+//! on its bank's readiness until a bank-local change (enqueue, ACT, PRE)
+//! drops it; the scheduler skips a bank whose snapshot is still in the
+//! future without touching its FIFOs. The bound itself is memoized across
+//! no-op ticks, which cannot change scheduler state.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use sim_kernel::{fold_next_event, fold_ready_event, Advance, EventQueue, FxHashMap, SimClock};
+use sim_kernel::{fold_ready_event, Advance, EventQueue, FxHashMap, SimClock};
 
 use crate::address::{AddressMapping, DecodedAddr};
 use crate::bank::{Bank, Rank};
@@ -98,10 +85,10 @@ impl core::fmt::Display for EnqueueError {
 
 impl std::error::Error for EnqueueError {}
 
-/// Queues at or below this length are scheduled by walking the requests
-/// directly instead of the per-bank candidate scan: with so few requests,
-/// touching every bank costs more than touching every request.
-const SMALL_QUEUE_RESCAN: usize = 12;
+/// Data-bus turnaround bubble (cycles) on a read/write direction switch
+/// or a rank switch. Shared by [`DramSystem::col_ready_at`], which both
+/// the scheduler's column check and the decision bound read.
+const TURNAROUND_BUBBLE: u64 = 2;
 
 #[derive(Debug, Clone)]
 struct QueuedReq {
@@ -186,8 +173,6 @@ struct SchedQueue {
     /// Per-flat-bank FIFO (arrival order) of indices of requests needing
     /// PRE/ACT first.
     misses: Vec<VecDeque<u32>>,
-    /// Queued requests per bank (hits + misses).
-    bank_count: Vec<u32>,
     /// Bit `fb` set iff `hits[fb]` is nonempty. The scheduler's hot
     /// passes run every busy cycle and most banks are empty most of the
     /// time, so they walk set bits instead of sweeping every FIFO header.
@@ -208,7 +193,6 @@ impl SchedQueue {
             first_live: Cell::new(0),
             hits: vec![VecDeque::new(); total_banks],
             misses: vec![VecDeque::new(); total_banks],
-            bank_count: vec![0; total_banks],
             hit_mask: 0,
             miss_mask: 0,
         }
@@ -272,7 +256,6 @@ impl SchedQueue {
             self.misses[fb].push_back(idx);
             self.miss_mask |= 1 << fb;
         }
-        self.bank_count[fb] += 1;
         self.q.push(Some(entry));
         self.live += 1;
     }
@@ -289,7 +272,6 @@ impl SchedQueue {
         if self.hits[fb].is_empty() {
             self.hit_mask &= !(1 << fb);
         }
-        self.bank_count[fb] -= 1;
         self.live -= 1;
         if self.live == 0 {
             // Every FIFO is empty: restart arrival positions from zero.
@@ -419,39 +401,23 @@ pub struct DramSystem {
     series: Option<crate::series::DramSeries>,
     /// Age (cycles) beyond which the oldest request pre-empts row hits.
     starvation_limit: u64,
-    /// True when the last tick performed no action and nothing was
-    /// enqueued since: every issue condition is then waiting on a static
-    /// timing threshold, so idle cycles may be skipped.
-    quiescent: bool,
-    /// Memoized [`Self::next_activity_cycle`] bound. The threshold set is
-    /// static across a quiescent stretch, so the scan runs once per
-    /// stretch; any enqueue or active tick invalidates it.
-    next_activity_cache: Cell<Option<u64>>,
-    /// Memoized controller-level [`Self::next_read_issue_cycle`] bound
-    /// (raw, unclamped). Timing registers only ratchet upward, so a
-    /// computed bound stays a valid lower bound until it expires; only a
-    /// read enqueue (which can genuinely lower the true next issue)
-    /// invalidates it early.
-    next_read_issue_cache: Cell<Option<u64>>,
-    /// Per-bank raw lower bound on the bank's earliest READ column issue.
-    /// Same ratchet argument per bank: invalidated only by a read enqueue
-    /// to that bank, re-derived lazily on expiry.
-    read_bank_bound: Vec<Cell<Option<u64>>>,
     /// Memoized [`Self::next_decision_cycle`] bound (always strictly
     /// after the cycle it was computed at). Invalidated by any enqueue
     /// and by every non-no-op tick; no-op ticks cannot change scheduler
     /// state, so an unexpired value stays a valid lower bound across
     /// them.
     next_decision_cache: Cell<Option<u64>>,
-    /// Per-bank lower bound on the bank's earliest command issue
-    /// (column, PRE, or ACT) for one queue, tagged with the queue kind —
-    /// a drain flip changes the candidate set, so entries computed for
-    /// the other mode simply miss. Invalidated by an enqueue to the bank
-    /// and by activate/precharge reclassification; commands at other
-    /// banks only ratchet the shared rank registers upward, which keeps
-    /// cached values valid lower bounds, and any command at this bank
-    /// was itself a cached candidate, so the cache has already expired.
-    decision_bank_bound: Vec<Cell<Option<(ReqKind, u64)>>>,
+    /// Per-bank readiness snapshot: the bank's earliest command issue
+    /// (column, PRE, or ACT) for one queue as of the last bound query,
+    /// tagged with the queue kind so entries taken for the other drain
+    /// mode are ignored. Dropped by an enqueue to the bank and by
+    /// activate/precharge reclassification. Commands elsewhere only
+    /// ratchet the timing registers upward (and the bus term, see
+    /// [`Self::col_ready_at`]); a column issue at this bank needed
+    /// `now >= snapshot`, so the snapshot stays a lower bound on the
+    /// bank's fresh readiness. [`Self::pick_action_incremental`] skips a
+    /// bank whose snapshot is still in the future.
+    bank_ready: Vec<Cell<Option<(ReqKind, u64)>>>,
     /// False when the write-drain predicate provably cannot fire: it
     /// reads only the queue lengths and the current mode, so after an
     /// evaluation that did not flip it stays false until a length
@@ -495,6 +461,13 @@ impl DramSystem {
             .map(|r| r.refresh_due)
             .min()
             .unwrap_or(u64::MAX);
+        // The readiness snapshots rely on every column issue moving the
+        // bus term forward by at least the turnaround bubble.
+        assert!(
+            cfg.read_burst_cycles >= TURNAROUND_BUBBLE
+                && cfg.write_burst_cycles >= TURNAROUND_BUBBLE,
+            "burst cycles must cover the {TURNAROUND_BUBBLE}-cycle turnaround bubble"
+        );
         let banks_per_rank = cfg.bank_groups * cfg.banks_per_group;
         Self {
             rank_shift: banks_per_rank.trailing_zeros(),
@@ -517,12 +490,8 @@ impl DramSystem {
             telemetry: ControllerTelemetry::default(),
             series: None,
             starvation_limit: 2_000,
-            quiescent: false,
-            next_activity_cache: Cell::new(None),
-            next_read_issue_cache: Cell::new(None),
-            read_bank_bound: vec![Cell::new(None); total_banks],
             next_decision_cache: Cell::new(None),
-            decision_bank_bound: vec![Cell::new(None); total_banks],
+            bank_ready: vec![Cell::new(None); total_banks],
             drain_dirty: true,
             refresh_due_min,
             refresh_pending_any: false,
@@ -629,12 +598,6 @@ impl DramSystem {
         self.read_sched.is_empty() && self.write_sched.is_empty() && self.pending.is_empty()
     }
 
-    /// True when the last tick performed no action and nothing was
-    /// enqueued since — the precondition for the event-driven skip.
-    pub fn is_quiescent(&self) -> bool {
-        self.quiescent
-    }
-
     /// Selects which scheduler implementation [`Self::tick`] runs
     /// (validation seam — both modes are bit-identical by construction
     /// and by the differential tests).
@@ -663,219 +626,16 @@ impl DramSystem {
         )
     }
 
-    /// Lower bound (strictly after [`Self::cycle`]) on the next cycle at
-    /// which [`Self::tick`] could perform any action, assuming the
-    /// controller [is quiescent](Self::is_quiescent).
-    ///
-    /// Every issue condition in the scheduler is a conjunction of
-    /// `now >= threshold` comparisons against timing registers that only
-    /// change when a command issues. After a no-op tick, each candidate
-    /// action therefore has at least one unsatisfied threshold in the set
-    /// collected here, so nothing can happen before the earliest of them.
-    pub fn next_activity_cycle(&self) -> u64 {
-        let now = self.clock.now();
-        if let Some(cached) = self.cached_next_activity() {
-            return cached;
-        }
-        let bound = self.compute_next_activity(now);
-        self.next_activity_cache.set(Some(bound));
-        bound
-    }
-
-    /// The memoized [`Self::next_activity_cycle`] bound if one is still
-    /// valid, without computing anything — callers advancing in small
-    /// windows use this to skip for free and only pay for a fresh bound
-    /// when the window is wide enough to amortize it.
-    pub fn cached_next_activity(&self) -> Option<u64> {
-        self.next_activity_cache
-            .get()
-            .filter(|&c| c > self.clock.now())
-    }
-
-    /// Folds every timing threshold a request queued at `flat_bank` can
-    /// be waiting on (bank registers plus its rank/bank-group registers).
-    fn fold_bank_thresholds(&self, now: u64, bound: &mut u64, flat_bank: usize) {
-        let bank = &self.banks[flat_bank];
-        fold_next_event(now, bound, bank.next_act);
-        fold_next_event(now, bound, bank.next_pre);
-        fold_next_event(now, bound, bank.next_read);
-        fold_next_event(now, bound, bank.next_write);
-        let (r, bg) = self.rank_and_bg_of(flat_bank);
-        let rank = &self.ranks[r];
-        fold_next_event(now, bound, rank.next_act_any);
-        fold_next_event(now, bound, rank.next_col_any);
-        fold_next_event(now, bound, rank.next_read_any);
-        fold_next_event(now, bound, rank.faw_ready(self.cfg.t_faw));
-        fold_next_event(now, bound, rank.next_act_same_bg[bg]);
-        fold_next_event(now, bound, rank.next_col_same_bg[bg]);
-        fold_next_event(now, bound, rank.next_read_same_bg[bg]);
-    }
-
-    fn compute_next_activity(&self, now: u64) -> u64 {
-        let mut bound = u64::MAX;
-        // In-flight data beats land at their precomputed finish cycles.
-        if let Some(t) = self.pending.peek_time() {
-            fold_next_event(now, &mut bound, t);
-        }
-        // The scheduler only ever touches banks with queued requests. For
-        // short queues (the common stall case) walking the requests beats
-        // sweeping the bank array; otherwise scan the per-bank occupancy
-        // counters.
-        let queued = self.read_sched.len() + self.write_sched.len();
-        if queued <= SMALL_QUEUE_RESCAN {
-            for q in [&self.read_sched, &self.write_sched] {
-                for (_, entry) in q.iter() {
-                    self.fold_bank_thresholds(now, &mut bound, entry.flat_bank);
-                }
-            }
-        } else {
-            let mut m = self.read_sched.hit_mask
-                | self.read_sched.miss_mask
-                | self.write_sched.hit_mask
-                | self.write_sched.miss_mask;
-            while m != 0 {
-                let fb = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.fold_bank_thresholds(now, &mut bound, fb);
-            }
-        }
-        // Refresh management runs regardless of the queues: the due
-        // time itself, plus — once a refresh is pending — the
-        // precharge/REF readiness of that rank's banks.
-        let bpr = (self.cfg.bank_groups * self.cfg.banks_per_group) as usize;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            fold_next_event(now, &mut bound, rank.refresh_due);
-            if rank.refresh_pending {
-                for bank in &self.banks[r * bpr..(r + 1) * bpr] {
-                    fold_next_event(now, &mut bound, bank.next_act);
-                    fold_next_event(now, &mut bound, bank.next_pre);
-                }
-            }
-        }
-        // Data-bus release: a column command needs `now + lat >=
-        // bus_busy_until + bubble`; cover every (latency, bubble) combo.
-        for lat in [self.cfg.t_cl, self.cfg.t_cwl] {
-            for bubble in [0u64, 2] {
-                let t = (self.bus_busy_until + bubble).saturating_sub(lat);
-                fold_next_event(now, &mut bound, t);
-            }
-        }
-        // Anti-starvation kicks in when the oldest request's age crosses
-        // the limit, which changes scheduling even without a new command.
-        for q in [&self.read_sched, &self.write_sched] {
-            if let Some((_, oldest)) = q.oldest() {
-                fold_next_event(
-                    now,
-                    &mut bound,
-                    oldest.req.enqueue_cycle + self.starvation_limit,
-                );
-            }
-        }
-        bound.max(now + 1)
-    }
-
     /// Lower bound on the next cycle a READ column command can issue —
     /// the moment read-queue capacity frees and the earliest any queued
-    /// read's data can start moving.
-    ///
-    /// Unlike [`Self::next_activity_cycle`] this is valid in any state
-    /// (not just quiescent): every term reads a timing register that only
-    /// ratchets upward as commands issue, so current values lower-bound
-    /// future readiness. Refresh blackouts are ignored (they only push
-    /// the true issue later). Returns `u64::MAX` when no read is queued.
+    /// read's data can start moving. A READ issue is a decision cycle, so
+    /// this is [`Self::next_decision_cycle`] (strictly after
+    /// [`Self::cycle`]), or `u64::MAX` when no read is queued.
     pub fn next_read_issue_cycle(&self) -> u64 {
         if self.read_sched.is_empty() {
             return u64::MAX;
         }
-        let now = self.clock.now();
-        self.next_read_issue_raw(now).max(now + 1)
-    }
-
-    /// The unclamped bound behind [`Self::next_read_issue_cycle`]: may be
-    /// at or before `now`, in which case a READ column command could be
-    /// ready this very cycle.
-    fn next_read_issue_raw(&self, now: u64) -> u64 {
-        if let Some(cached) = self.next_read_issue_cache.get() {
-            if cached > now {
-                return cached;
-            }
-        }
-        let bound = self.compute_next_read_issue(now);
-        self.next_read_issue_cache.set(Some(bound));
-        bound
-    }
-
-    fn compute_next_read_issue(&self, now: u64) -> u64 {
-        // While draining, no read issues until the write queue falls to
-        // the low watermark: `surplus` more writes must issue, their data
-        // bursts occupy the bus at least `write_burst_cycles` apart, and
-        // the earliest schedule starts a write this very cycle — so the
-        // last one issues no sooner than `(surplus - 1)` spacings out and
-        // a read column follows at the next tick. (`surplus *
-        // write_burst_cycles` would overshoot by `write_burst_cycles - 1`;
-        // this bound is consumed as an exact no-read-possible gate by
-        // [`Self::pick_action_incremental`], so an overshoot would delay
-        // real issues, not just wake sleepers late.)
-        let floor = if self.draining_writes {
-            let surplus = self
-                .write_sched
-                .len()
-                .saturating_sub(self.cfg.write_drain_lo) as u64;
-            now + surplus.saturating_sub(1) * self.cfg.write_burst_cycles + 1
-        } else {
-            now
-        };
-        let mut bound = u64::MAX;
-        let mut m = self.read_sched.hit_mask | self.read_sched.miss_mask;
-        while m != 0 {
-            let fb = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let per_bank = match self.read_bank_bound[fb].get() {
-                Some(b) if b > now => b,
-                _ => {
-                    let b = self.compute_bank_read_issue(fb);
-                    self.read_bank_bound[fb].set(Some(b));
-                    b
-                }
-            };
-            bound = bound.min(per_bank);
-        }
-        bound.max(floor)
-    }
-
-    /// Earliest cycle any of `flat_bank`'s queued reads could issue its
-    /// column command. Within a bank, readiness is uniform across an
-    /// eligibility class, so this inspects the class fronts rather than
-    /// every request.
-    fn compute_bank_read_issue(&self, flat_bank: usize) -> u64 {
-        let q = &self.read_sched;
-        let bank = &self.banks[flat_bank];
-        let (r, bg) = self.rank_and_bg_of(flat_bank);
-        let rank = &self.ranks[r];
-        let mut t = u64::MAX;
-        if !q.hits[flat_bank].is_empty() {
-            t = t.min(bank.next_read);
-        }
-        if !q.misses[flat_bank].is_empty() {
-            let m = match bank.open_row {
-                // Conflict: PRE, tRP, ACT, tRCD before the column command.
-                Some(_) => bank.next_pre + self.cfg.t_rp + self.cfg.t_rcd,
-                // Closed: ACT constraints then tRCD.
-                None => {
-                    bank.next_act
-                        .max(rank.next_act_any)
-                        .max(rank.next_act_same_bg[bg])
-                        .max(rank.faw_ready(self.cfg.t_faw))
-                        + self.cfg.t_rcd
-                }
-            };
-            t = t.min(m);
-        }
-        t.max(rank.next_read_any)
-            .max(rank.next_read_same_bg[bg])
-            .max(rank.next_col_any)
-            .max(rank.next_col_same_bg[bg])
-            .max(self.bus_busy_until.saturating_sub(self.cfg.t_cl))
+        self.next_decision_cycle()
     }
 
     /// Lower bound on the next cycle any queued (not yet issued) READ's
@@ -887,20 +647,19 @@ impl DramSystem {
 
     /// Lower bound (strictly after [`Self::cycle`]) on the next cycle at
     /// which [`Self::tick`] could do anything at all — issue a command,
-    /// flip drain mode, pop a completion, or cross a refresh or
-    /// starvation boundary — valid in **any** state, busy or quiescent.
+    /// flip drain mode, pop a completion, act on refresh, or cross the
+    /// anti-starvation limit — valid in **any** state, busy or idle.
     ///
-    /// Where [`Self::next_activity_cycle`] folds every *individual*
-    /// threshold (and therefore requires quiescence, since an
-    /// already-satisfied threshold is dropped even though its candidate
-    /// may merely be deprioritized this cycle), this bound takes the
-    /// conjunction per candidate command: the earliest cycle all of its
-    /// thresholds hold, past-due ones clamping to the next cycle. A
-    /// ready-but-suppressed candidate (refresh blackout, FCFS ordering,
-    /// anti-starvation, turnaround bubble) keeps the bound at `now + 1`:
-    /// suppression only delays an issue, so the cost is a spurious
-    /// wake-up executing the same no-op tick the per-cycle reference
-    /// executed — never a missed decision.
+    /// For each candidate command it takes the conjunction of the
+    /// thresholds that gate it, the data-bus turnaround included: the
+    /// earliest cycle all of them hold, past-due ones clamping to the
+    /// next cycle. Once the oldest request starves, only that request's
+    /// own next command counts, as in the scheduler. The bound is exact
+    /// except across refresh blackouts and FCFS ordering: candidates of a
+    /// rank with a refresh pending, and (with [`DramConfig::fcfs`]) row
+    /// hits behind the oldest request, still count, so the bound may wake
+    /// a tick early there — executing the same no-op tick the per-cycle
+    /// reference executed, never missing a decision.
     pub fn next_decision_cycle(&self) -> u64 {
         let now = self.clock.now();
         if let Some(cached) = self.next_decision_cache.get() {
@@ -931,35 +690,43 @@ impl DramSystem {
         // the inactive queue cannot issue before a drain flip, and flips
         // are covered above (plus by cache invalidation on every length
         // change).
-        if let Some(kind) = self.sched_kind() {
-            let q = self.sched(kind);
-            let mut m = q.hit_mask | q.miss_mask;
-            while m != 0 {
-                let fb = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let per_bank = match self.decision_bank_bound[fb].get() {
-                    Some((k, b)) if k == kind && b > now => b,
-                    _ => {
-                        let b = self.compute_bank_decision(kind, fb);
-                        self.decision_bank_bound[fb].set(Some((kind, b)));
-                        b
-                    }
+        let Some(kind) = self.sched_kind() else {
+            return bound;
+        };
+        let q = self.sched(kind);
+        let Some((_, oldest)) = q.oldest() else {
+            return bound;
+        };
+        // Anti-starvation: from the tick at which the oldest request's
+        // age first exceeds the limit, only that request may act, so its
+        // own next command bounds the scheduler (mirroring the starving
+        // branch of `pick_action_incremental`). The state persists until
+        // that request issues — itself a decision cycle. A refresh
+        // pending on its rank blocks it until the refresh resolves,
+        // which `fold_refresh_decision` already covers.
+        let onset = oldest.req.enqueue_cycle + self.starvation_limit + 1;
+        if onset <= now + 1 {
+            let fb = oldest.flat_bank;
+            if !self.ranks[oldest.decoded.rank as usize].refresh_pending {
+                let ready = if self.banks[fb].open_row == Some(oldest.decoded.row) {
+                    self.col_ready_at(kind, fb)
+                } else {
+                    self.prep_ready_at(fb)
                 };
-                fold_ready_event(now, &mut bound, per_bank);
-                if bound == now + 1 {
-                    return bound;
-                }
+                fold_ready_event(now, &mut bound, ready);
             }
-            // Anti-starvation activates when the oldest request's age
-            // first exceeds the limit, restricting scheduling to that
-            // request — a decision change without any command issuing.
-            if let Some((_, oldest)) = q.oldest() {
-                fold_ready_event(
-                    now,
-                    &mut bound,
-                    oldest.req.enqueue_cycle + self.starvation_limit + 1,
-                );
-            }
+            return bound;
+        }
+        // The onset itself is a decision change without any command
+        // issuing.
+        fold_ready_event(now, &mut bound, onset);
+        let mut m = q.hit_mask | q.miss_mask;
+        while m != 0 {
+            let fb = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let ready = self.bank_ready_at(kind, fb);
+            self.bank_ready[fb].set(Some((kind, ready)));
+            fold_ready_event(now, &mut bound, ready);
         }
         bound
     }
@@ -1005,42 +772,80 @@ impl DramSystem {
 
     /// Earliest cycle any of `flat_bank`'s requests in the `kind` queue
     /// could issue a command: the bank's oldest row hit's column command,
-    /// or its miss front's PRE (row open) / ACT (row closed). Each
-    /// candidate is the conjunction of the thresholds
-    /// [`Self::col_cmd_ready`] / [`Self::act_ready`] check; refresh
-    /// blackouts and turnaround bubbles are deliberately omitted (they
-    /// only delay, so omission keeps this a lower bound).
-    fn compute_bank_decision(&self, kind: ReqKind, flat_bank: usize) -> u64 {
+    /// or its miss front's PRE (row open) / ACT (row closed). Refresh
+    /// blackouts are deliberately omitted (they only delay, so omission
+    /// keeps this a lower bound).
+    fn bank_ready_at(&self, kind: ReqKind, flat_bank: usize) -> u64 {
         let q = self.sched(kind);
+        let bit = 1u64 << flat_bank;
+        let mut t = u64::MAX;
+        if q.hit_mask & bit != 0 {
+            t = self.col_ready_at(kind, flat_bank);
+        }
+        if q.miss_mask & bit != 0 {
+            t = t.min(self.prep_ready_at(flat_bank));
+        }
+        t
+    }
+
+    /// Earliest cycle a `kind` column command to `flat_bank`'s open row
+    /// meets every timing threshold, the data-bus turnaround included.
+    /// [`Self::col_cmd_ready`] is `now` reaching it (outside a refresh
+    /// blackout).
+    ///
+    /// The bus term `(bus_busy_until + bubble) - latency` never falls as
+    /// commands issue, which the readiness snapshots rely on: a column
+    /// issue at `now` needs `now + lat' >= bus_busy_until + bubble'` and
+    /// moves `bus_busy_until` to `now + lat' + burst`, so it rises by at
+    /// least the burst — at least [`TURNAROUND_BUBBLE`], which
+    /// [`Self::new`] asserts — while the bubble changes by at most that.
+    fn col_ready_at(&self, kind: ReqKind, flat_bank: usize) -> u64 {
         let bank = &self.banks[flat_bank];
         let (r, bg) = self.rank_and_bg_of(flat_bank);
         let rank = &self.ranks[r];
-        let mut t = u64::MAX;
-        if !q.hits[flat_bank].is_empty() {
-            let col = match kind {
-                ReqKind::Read => bank
-                    .next_read
+        let (bank_ready, lat, dir) = match kind {
+            ReqKind::Read => (
+                bank.next_read
                     .max(rank.next_read_any)
-                    .max(rank.next_read_same_bg[bg])
-                    .max(self.bus_busy_until.saturating_sub(self.cfg.t_cl)),
-                ReqKind::Write => bank
-                    .next_write
-                    .max(self.bus_busy_until.saturating_sub(self.cfg.t_cwl)),
-            };
-            t = t.min(col.max(rank.next_col_any).max(rank.next_col_same_bg[bg]));
+                    .max(rank.next_read_same_bg[bg]),
+                self.cfg.t_cl,
+                BusDir::Read,
+            ),
+            ReqKind::Write => (bank.next_write, self.cfg.t_cwl, BusDir::Write),
+        };
+        let bubble = if self.bus_dir != BusDir::Idle
+            && (self.bus_dir != dir || self.bus_rank as usize != r)
+        {
+            TURNAROUND_BUBBLE
+        } else {
+            0
+        };
+        bank_ready
+            .max(rank.next_col_any)
+            .max(rank.next_col_same_bg[bg])
+            .max((self.bus_busy_until + bubble).saturating_sub(lat))
+    }
+
+    /// Earliest cycle `flat_bank` can be prepared for a row miss: its
+    /// PRE with a row open, else its ACT.
+    fn prep_ready_at(&self, flat_bank: usize) -> u64 {
+        let bank = &self.banks[flat_bank];
+        match bank.open_row {
+            Some(_) => bank.next_pre,
+            None => self.act_ready_at(flat_bank),
         }
-        if !q.misses[flat_bank].is_empty() {
-            let prep = match bank.open_row {
-                Some(_) => bank.next_pre,
-                None => bank
-                    .next_act
-                    .max(rank.next_act_any)
-                    .max(rank.next_act_same_bg[bg])
-                    .max(rank.faw_ready(self.cfg.t_faw)),
-            };
-            t = t.min(prep);
-        }
-        t
+    }
+
+    /// Earliest cycle an ACT to closed `flat_bank` meets tRP/tRFC,
+    /// tRRD_S/L, and tFAW.
+    fn act_ready_at(&self, flat_bank: usize) -> u64 {
+        let (r, bg) = self.rank_and_bg_of(flat_bank);
+        let rank = &self.ranks[r];
+        self.banks[flat_bank]
+            .next_act
+            .max(rank.next_act_any)
+            .max(rank.next_act_same_bg[bg])
+            .max(rank.faw_ready(self.cfg.t_faw))
     }
 
     /// Fast-forwards over a span proven decision-free, crediting the
@@ -1072,15 +877,7 @@ impl DramSystem {
         if now >= target {
             return;
         }
-        let next = match self.next_decision_cache.get().filter(|&c| c > now) {
-            Some(cached) => cached,
-            // A one-cycle window is never worth a fresh bound: ticking a
-            // possibly-no-op cycle is cheaper and identical (the
-            // reference ticks it too). A still-valid memoized bound was
-            // consulted for free above.
-            None if target <= now + 1 => return,
-            None => self.next_decision_cycle(),
-        };
+        let next = self.next_decision_cycle();
         if next > target {
             self.skip_span_to(target);
         } else if next > now + 1 {
@@ -1110,23 +907,6 @@ impl DramSystem {
             }
         }
         done
-    }
-
-    /// Fast-forwards the clock over cycles proven idle by
-    /// [`Self::next_activity_cycle`], charging them to the cycle counter
-    /// (and to the occupancy histograms — queue lengths are constant
-    /// across a quiescent stretch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller is not quiescent or `cycle` is in the
-    /// past.
-    pub fn skip_idle_to(&mut self, cycle: u64) {
-        assert!(
-            self.quiescent,
-            "skip_idle_to requires a quiescent controller"
-        );
-        self.skip_span_to(cycle);
     }
 
     /// Advances to `target`, returning every completion on the way.
@@ -1176,8 +956,6 @@ impl DramSystem {
                             enqueue_cycle: req.enqueue_cycle,
                         },
                     );
-                    self.quiescent = false;
-                    self.next_activity_cache.set(None);
                     self.next_decision_cache.set(None);
                     return Ok(());
                 }
@@ -1197,11 +975,9 @@ impl DramSystem {
                     },
                     is_hit,
                 );
-                // A fresh read can genuinely lower the next-issue and
-                // decision bounds — but only for its own bank.
-                self.read_bank_bound[flat_bank].set(None);
-                self.next_read_issue_cache.set(None);
-                self.decision_bank_bound[flat_bank].set(None);
+                // A fresh read can genuinely lower its own bank's
+                // readiness.
+                self.bank_ready[flat_bank].set(None);
             }
             ReqKind::Write => {
                 if self.write_sched.len() >= self.cfg.write_queue {
@@ -1221,11 +997,9 @@ impl DramSystem {
                     },
                     is_hit,
                 );
-                self.decision_bank_bound[flat_bank].set(None);
+                self.bank_ready[flat_bank].set(None);
             }
         }
-        self.quiescent = false;
-        self.next_activity_cache.set(None);
         self.next_decision_cache.set(None);
         // A length change can satisfy the drain predicate.
         self.drain_dirty = true;
@@ -1284,11 +1058,8 @@ impl DramSystem {
         } else {
             self.telemetry.causes.noop += 1;
         }
-        // A tick that changed nothing leaves every scheduling input
-        // waiting on a static timing threshold.
-        self.quiescent = !drain_flipped && !issued && done.is_empty();
-        if !self.quiescent {
-            self.next_activity_cache.set(None);
+        // A tick that changed nothing leaves the memoized bound valid.
+        if drain_flipped || issued || !done.is_empty() {
             self.next_decision_cache.set(None);
         }
         done
@@ -1406,17 +1177,9 @@ impl DramSystem {
         } else {
             return None;
         };
-        // Hybrid dispatch: the per-bank scan wins once the queue is
-        // longer than the bank array; for short queues (the latency-bound
-        // common case) walking the few requests directly is cheaper.
-        // Both implementations are decision-identical (pinned by the
-        // differential tests), so this is purely a cost choice.
-        let q_len = self.sched(kind).len();
         let action = match self.scheduler_mode {
-            SchedulerMode::Incremental if q_len > SMALL_QUEUE_RESCAN => {
-                self.pick_action_incremental(kind)
-            }
-            _ => self.pick_action_rescan(kind),
+            SchedulerMode::Incremental => self.pick_action_incremental(kind),
+            SchedulerMode::NaiveRescan => self.pick_action_rescan(kind),
         };
         let a = action?;
         // Classify before applying: a column issue removes its entry.
@@ -1429,9 +1192,9 @@ impl DramSystem {
     }
 
     /// True when the active queue's oldest request is past the
-    /// anti-starvation limit (the aging bound is then waking the
-    /// controller every cycle — the telemetry cause for otherwise
-    /// unexplained executed no-op ticks).
+    /// anti-starvation limit (the telemetry cause for an otherwise
+    /// unexplained executed no-op tick: the onset itself, or a starving
+    /// request held up by a refresh).
     fn oldest_is_starving(&self, now: u64) -> bool {
         self.sched_kind()
             .and_then(|k| self.sched(k).oldest())
@@ -1468,39 +1231,33 @@ impl DramSystem {
     /// Within one bank, column/ACT/PRE readiness is identical for every
     /// request of the same eligibility class, so only the front of each
     /// class can be the first-in-arrival-order ready request — the
-    /// quantity both FR-FCFS passes select.
+    /// quantity both FR-FCFS passes select. A bank whose readiness
+    /// snapshot is still in the future cannot act and is skipped before
+    /// its FIFOs are touched.
     fn pick_action_incremental(&self, kind: ReqKind) -> Option<SchedAction> {
         let q = self.sched(kind);
         let (oldest_idx, oldest) = q.oldest()?;
         let now = self.clock.now();
         let starving = now.saturating_sub(oldest.req.enqueue_cycle) > self.starvation_limit;
-        // Column-issue pre-filter (reads only): a still-valid cached
-        // next-read-issue bound in the future proves no READ column
-        // command can be ready this cycle, so every hit scan below can be
-        // skipped wholesale. Purely opportunistic — the cache is consulted
-        // but never computed here (a saturated phase enqueues most ticks,
-        // so forced recomputation would cost more than the scan); the
-        // event-driven callers populate it as a side effect of their bound
-        // queries.
-        let col_possible = match kind {
-            ReqKind::Read => self.next_read_issue_cache.get().is_none_or(|c| c <= now),
-            ReqKind::Write => true,
-        };
+        let not_ready =
+            |fb: usize| matches!(self.bank_ready[fb].get(), Some((k, t)) if k == kind && t > now);
 
         // Pass 1 (FR-FCFS only): first-ready row hit in arrival order —
         // the earliest-arrived ready hit-FIFO front across banks.
-        if !starving && !self.cfg.fcfs && col_possible {
+        if !starving && !self.cfg.fcfs {
             let mut best: Option<u32> = None;
             let mut m = q.hit_mask;
             while m != 0 {
                 let fb = m.trailing_zeros() as usize;
                 m &= m - 1;
+                if not_ready(fb) {
+                    continue;
+                }
                 let idx = *q.hits[fb].front().expect("masked bank has hits");
                 if best.is_some_and(|b| b < idx) {
                     continue;
                 }
-                let e = q.req(idx as usize);
-                if self.col_cmd_ready(kind, &e.decoded, fb) {
+                if self.col_cmd_ready(kind, fb) {
                     best = Some(idx);
                 }
             }
@@ -1523,29 +1280,26 @@ impl DramSystem {
                 return None;
             }
             return match self.banks[fb].open_row {
-                Some(row) if row == e.decoded.row => (col_possible
-                    && self.col_cmd_ready(kind, &e.decoded, fb))
-                .then_some(SchedAction::Column {
-                    kind,
-                    idx: oldest_idx,
-                }),
+                Some(row) if row == e.decoded.row => {
+                    self.col_cmd_ready(kind, fb).then_some(SchedAction::Column {
+                        kind,
+                        idx: oldest_idx,
+                    })
+                }
                 Some(_) => (now >= self.banks[fb].next_pre)
                     .then_some(SchedAction::Precharge { idx: oldest_idx }),
                 None => self
-                    .act_ready(&e.decoded, fb)
+                    .act_ready(fb)
                     .then_some(SchedAction::Activate { idx: oldest_idx }),
             };
         }
 
         // FCFS: only the globally oldest request may issue its column
         // command; being globally oldest, it beats every other candidate.
-        if self.cfg.fcfs && col_possible {
+        if self.cfg.fcfs {
             let e = oldest;
             let fb = e.flat_bank;
-            if !self.ranks[e.decoded.rank as usize].refresh_pending
-                && self.banks[fb].open_row == Some(e.decoded.row)
-                && self.col_cmd_ready(kind, &e.decoded, fb)
-            {
+            if self.banks[fb].open_row == Some(e.decoded.row) && self.col_cmd_ready(kind, fb) {
                 return Some(SchedAction::Column {
                     kind,
                     idx: oldest_idx,
@@ -1559,12 +1313,11 @@ impl DramSystem {
         while m != 0 {
             let fb = m.trailing_zeros() as usize;
             m &= m - 1;
-            let idx = *q.misses[fb].front().expect("masked bank has misses");
-            if best.as_ref().is_some_and(|&(b, _)| b < idx) {
+            if not_ready(fb) || self.ranks[fb >> self.rank_shift].refresh_pending {
                 continue;
             }
-            let e = q.req(idx as usize);
-            if self.ranks[e.decoded.rank as usize].refresh_pending {
+            let idx = *q.misses[fb].front().expect("masked bank has misses");
+            if best.as_ref().is_some_and(|&(b, _)| b < idx) {
                 continue;
             }
             match self.banks[fb].open_row {
@@ -1574,7 +1327,7 @@ impl DramSystem {
                     }
                 }
                 None => {
-                    if self.act_ready(&e.decoded, fb) {
+                    if self.act_ready(fb) {
                         best = Some((idx, SchedAction::Activate { idx: idx as usize }));
                     }
                 }
@@ -1595,7 +1348,7 @@ impl DramSystem {
         if !starving && !self.cfg.fcfs {
             for (idx, e) in q.iter() {
                 if self.banks[e.flat_bank].open_row == Some(e.decoded.row)
-                    && self.col_cmd_ready(kind, &e.decoded, e.flat_bank)
+                    && self.col_cmd_ready(kind, e.flat_bank)
                 {
                     return Some(SchedAction::Column { kind, idx });
                 }
@@ -1614,7 +1367,7 @@ impl DramSystem {
                     // FCFS: only the oldest request may issue its column
                     // command (younger ones may still prepare their banks).
                     if (starving || (self.cfg.fcfs && idx == oldest_idx))
-                        && self.col_cmd_ready(kind, &e.decoded, e.flat_bank)
+                        && self.col_cmd_ready(kind, e.flat_bank)
                     {
                         return Some(SchedAction::Column { kind, idx });
                     }
@@ -1626,7 +1379,7 @@ impl DramSystem {
                     }
                 }
                 None => {
-                    if self.act_ready(&e.decoded, e.flat_bank) {
+                    if self.act_ready(e.flat_bank) {
                         return Some(SchedAction::Activate { idx });
                     }
                 }
@@ -1699,33 +1452,23 @@ impl DramSystem {
     fn on_bank_activated(&mut self, flat_bank: usize, row: u32) {
         self.read_sched.on_activate(flat_bank, row);
         self.write_sched.on_activate(flat_bank, row);
-        self.decision_bank_bound[flat_bank].set(None);
+        self.bank_ready[flat_bank].set(None);
     }
 
     /// Reclassifies both queues' eligibility FIFOs after `flat_bank`
     /// closed its row (scheduler PRE or refresh-path PRE).
     ///
-    /// The bank's decision bound is dropped explicitly: a refresh-path
-    /// PRE reclassifies hits into misses without having been a cached
-    /// candidate, and the new ACT path can be *earlier* than a cached
-    /// column bound (e.g. tRP elapsing before a long write-to-read
-    /// turnaround) — the one reclassification the ratchet argument does
-    /// not cover. Scheduler PRE/ACTs were cached candidates, so their
-    /// caches already expired; invalidating uniformly is simply cheap.
+    /// The bank's readiness snapshot is dropped: reclassified hits now
+    /// wait on an ACT, which can be *earlier* than the snapshot's column
+    /// term (e.g. tRP elapsing before a long write-to-read turnaround).
     fn on_bank_precharged(&mut self, flat_bank: usize) {
         self.read_sched.on_precharge(flat_bank);
         self.write_sched.on_precharge(flat_bank);
-        self.decision_bank_bound[flat_bank].set(None);
+        self.bank_ready[flat_bank].set(None);
     }
 
-    fn act_ready(&self, d: &DecodedAddr, flat_bank: usize) -> bool {
-        let now = self.clock.now();
-        let bank = &self.banks[flat_bank];
-        let rank = &self.ranks[d.rank as usize];
-        now >= bank.next_act
-            && now >= rank.next_act_any
-            && now >= rank.next_act_same_bg[d.bank_group as usize]
-            && now >= rank.faw_ready(self.cfg.t_faw)
+    fn act_ready(&self, flat_bank: usize) -> bool {
+        self.clock.now() >= self.act_ready_at(flat_bank)
     }
 
     fn issue_act(&mut self, d: &DecodedAddr, flat_bank: usize) {
@@ -1743,39 +1486,9 @@ impl DramSystem {
         self.stats.activates += 1;
     }
 
-    fn col_cmd_ready(&self, kind: ReqKind, d: &DecodedAddr, flat_bank: usize) -> bool {
-        let now = self.clock.now();
-        let bank = &self.banks[flat_bank];
-        let rank = &self.ranks[d.rank as usize];
-        if rank.refresh_pending {
-            return false;
-        }
-        let bg = d.bank_group as usize;
-        let bank_ready = match kind {
-            ReqKind::Read => {
-                now >= bank.next_read
-                    && now >= rank.next_read_any
-                    && now >= rank.next_read_same_bg[bg]
-            }
-            ReqKind::Write => now >= bank.next_write,
-        };
-        if !bank_ready || now < rank.next_col_any || now < rank.next_col_same_bg[bg] {
-            return false;
-        }
-        // Data bus availability with a turnaround bubble on direction or
-        // rank switches.
-        let (lat, dur, dir) = match kind {
-            ReqKind::Read => (self.cfg.t_cl, self.cfg.read_burst_cycles, BusDir::Read),
-            ReqKind::Write => (self.cfg.t_cwl, self.cfg.write_burst_cycles, BusDir::Write),
-        };
-        let _ = dur;
-        let bubble =
-            if self.bus_dir != BusDir::Idle && (self.bus_dir != dir || self.bus_rank != d.rank) {
-                2
-            } else {
-                0
-            };
-        now + lat >= self.bus_busy_until + bubble
+    fn col_cmd_ready(&self, kind: ReqKind, flat_bank: usize) -> bool {
+        !self.ranks[flat_bank >> self.rank_shift].refresh_pending
+            && self.clock.now() >= self.col_ready_at(kind, flat_bank)
     }
 
     fn issue_col_cmd(&mut self, kind: ReqKind, idx: usize) {
@@ -1900,45 +1613,24 @@ impl DramSystem {
                         exp_misses[fb]
                     ));
                 }
-                let count = (exp_hits[fb].len() + exp_misses[fb].len()) as u32;
-                if q.bank_count[fb] != count {
-                    return Err(format!(
-                        "{label}: bank {fb} count {} != {count}",
-                        q.bank_count[fb]
-                    ));
-                }
                 if (q.hit_mask & (1 << fb) != 0) == exp_hits[fb].is_empty() {
                     return Err(format!("{label}: bank {fb} hit-mask bit wrong"));
                 }
                 if (q.miss_mask & (1 << fb) != 0) == exp_misses[fb].is_empty() {
                     return Err(format!("{label}: bank {fb} miss-mask bit wrong"));
                 }
-                // Cached per-bank read-issue bounds must stay lower bounds
-                // of a fresh computation (the ratchet invariant).
-                if kind == ReqKind::Read && count > 0 {
-                    if let Some(cached) = self.read_bank_bound[fb].get() {
-                        let fresh = self.compute_bank_read_issue(fb);
-                        if cached > fresh {
-                            return Err(format!(
-                                "bank {fb} cached read bound {cached} above fresh {fresh}"
-                            ));
-                        }
-                    }
-                }
-                // Same ratchet invariant for the per-bank decision
-                // bounds (checked once; the cache is per bank, not per
-                // queue — its own tag says which queue it was computed
-                // for). Only unexpired entries are ever consulted.
+                // A readiness snapshot must stay a lower bound on the
+                // bank's fresh readiness (the ratchet invariant the
+                // scheduler's skip relies on). Checked once per bank: its
+                // own tag says which queue it was taken for.
                 if kind == ReqKind::Read {
-                    if let Some((k, cached)) = self.decision_bank_bound[fb].get() {
-                        if cached > self.clock.now() {
-                            let fresh = self.compute_bank_decision(k, fb);
-                            if cached > fresh {
-                                return Err(format!(
-                                    "bank {fb} cached {k:?} decision bound {cached} \
-                                     above fresh {fresh}"
-                                ));
-                            }
+                    if let Some((k, snapshot)) = self.bank_ready[fb].get() {
+                        let fresh = self.bank_ready_at(k, fb);
+                        if snapshot > fresh {
+                            return Err(format!(
+                                "bank {fb} {k:?} readiness snapshot {snapshot} \
+                                 above fresh {fresh}"
+                            ));
                         }
                     }
                 }
@@ -2460,6 +2152,77 @@ mod tests {
         );
     }
 
+    /// Without refresh, the decision bound is exact: `tick_until` in
+    /// short random windows executes no no-op tick, and a starving
+    /// request costs at most its onset tick — while the completion
+    /// stream stays that of per-cycle ticks.
+    #[test]
+    fn decision_bound_is_exact_without_refresh() {
+        use rand::{Rng, SeedableRng};
+        let run = |event_driven: bool| {
+            let mut cfg = DramConfig::ddr4_3200();
+            cfg.t_refi = u64::MAX / 4;
+            let mut dram = DramSystem::new(cfg);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+            let mut completions = Vec::new();
+            let (mut id, mut onsets, mut starving) = (0u64, 0u64, false);
+            for window in 0..3_000u32 {
+                for _ in 0..rng.gen_range(0..12u32) {
+                    let kind = if rng.gen_bool(0.35) {
+                        ReqKind::Write
+                    } else {
+                        ReqKind::Read
+                    };
+                    // Hit storms on one row per bank, over a wide random
+                    // mix that conflicts with them.
+                    let addr = if rng.gen_bool(0.85) {
+                        rng.gen_range(0..128u64) << 6
+                    } else {
+                        rng.gen_range(0..(1u64 << 28)) & !63
+                    };
+                    let _ = dram.enqueue(MemRequest::new(id, kind, addr, dram.cycle()));
+                    id += 1;
+                }
+                let target = dram.cycle() + rng.gen_range(1..41u64);
+                if event_driven {
+                    completions.extend(dram.tick_until(target));
+                } else {
+                    while dram.cycle() < target {
+                        let at = dram.cycle() + 1;
+                        let now_starving = dram.oldest_is_starving(at);
+                        onsets += u64::from(now_starving && !starving);
+                        starving = now_starving;
+                        completions.extend(dram.tick().into_iter().map(|c| (at, c)));
+                    }
+                }
+                if window % 100 == 0 {
+                    dram.validate_incremental_state().expect("state consistent");
+                }
+            }
+            (completions, dram.stats(), dram.telemetry(), onsets)
+        };
+        let (fast_c, fast_s, fast_t, _) = run(true);
+        let (ref_c, ref_s, _, onsets) = run(false);
+        assert_eq!(fast_c, ref_c, "completion stream diverged");
+        assert_eq!(fast_s, ref_s, "stats diverged");
+        assert_eq!(fast_s.refreshes, 0, "refresh stays out of reach");
+        assert!(onsets > 0, "the traffic must starve some request");
+        assert_eq!(fast_t.causes.noop, 0, "{:?}", fast_t.causes);
+        assert!(
+            fast_t.causes.aging <= onsets,
+            "aging {} over {onsets} starvation onsets",
+            fast_t.causes.aging
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "turnaround bubble")]
+    fn burst_shorter_than_the_turnaround_bubble_is_rejected() {
+        let mut cfg = DramConfig::ddr4_3200();
+        cfg.read_burst_cycles = 1;
+        let _ = DramSystem::new(cfg);
+    }
+
     #[test]
     fn saturated_decision_cycles_stay_below_busy_cycles() {
         let mut dram = DramSystem::new(DramConfig::ddr4_3200());
@@ -2537,8 +2300,9 @@ mod review_repro {
                     id += 1;
                 }
             }
-            // populate the read-issue cache the way event-driven callers do
-            let _ = dram.next_read_issue_cycle();
+            // populate the bound memo and the readiness snapshots (for
+            // either queue) the way event-driven callers do
+            let _ = dram.next_decision_cycle();
             assert_eq!(
                 dram.next_sched_action(),
                 dram.next_sched_action_rescan(),

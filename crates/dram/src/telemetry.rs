@@ -35,11 +35,15 @@ pub struct DecisionCauses {
     /// The write-drain hysteresis flipped and nothing else happened.
     pub drain_flip: u64,
     /// A no-op tick while the active queue's oldest request is past the
-    /// anti-starvation limit (the aging bound wakes the controller every
-    /// cycle until the starving request issues).
+    /// anti-starvation limit. Under `tick_until` this is the starvation
+    /// onset tick (the decision bound then follows the starving request's
+    /// own next command), plus any tick a refresh holds it up.
     pub aging: u64,
-    /// Any other executed no-op tick (a conservatively early decision
-    /// bound, or a per-cycle caller ticking through a dead cycle).
+    /// Any other executed no-op tick. Under `tick_until` these are
+    /// refresh blackouts (the decision bound keeps candidates of a rank
+    /// with a refresh pending) and, with FCFS scheduling, row hits waiting
+    /// behind the oldest request; a per-cycle caller also lands every
+    /// dead cycle here.
     pub noop: u64,
 }
 

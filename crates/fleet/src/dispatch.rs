@@ -135,6 +135,9 @@ enum Msg {
     Status {
         reply: mpsc::Sender<Vec<WorkerStatus>>,
     },
+    TrackedJobs {
+        reply: mpsc::Sender<usize>,
+    },
     Sever {
         worker: usize,
     },
@@ -160,7 +163,6 @@ struct Job {
     events: Option<mpsc::Sender<Json>>,
     /// Cells emitted so far — events go out strictly in index order.
     next_emit: usize,
-    terminal: bool,
 }
 
 struct Worker {
@@ -208,13 +210,13 @@ struct Core {
     log: Option<JobLog>,
     store: ResultStore,
     workers: Vec<Worker>,
+    /// Jobs accepted but not yet terminal: each terminal path removes
+    /// its job, and every later lookup treats a missing id as stale.
     jobs: HashMap<u64, Job>,
     next_job: u64,
     /// Cells waiting for a worker slot, FIFO (requeues go to the
     /// front so interrupted work finishes first).
     pending: VecDeque<(u64, usize)>,
-    /// Jobs accepted but not yet terminal.
-    active: usize,
     drain_waiters: Vec<mpsc::Sender<()>>,
     max_outstanding: usize,
     metrics: Metrics,
@@ -251,7 +253,13 @@ impl Core {
         }
     }
 
-    fn log_terminal(&mut self, hash: u64, outcome: Terminal) {
+    /// Emits a job's terminal `event`, retires the job (dropping it
+    /// closes the event stream and frees its cells), and logs `outcome`.
+    fn terminate(&mut self, job_id: u64, event: Json, outcome: Terminal) {
+        self.emit(job_id, event);
+        let Some(hash) = self.jobs.remove(&job_id).map(|job| job.hash) else {
+            return;
+        };
         if let Some(log) = &mut self.log {
             // A failed terminal write costs a redundant (deterministic,
             // store-served) replay on restart — not worth failing the
@@ -261,8 +269,7 @@ impl Core {
     }
 
     fn job_done(&mut self) {
-        self.active = self.active.saturating_sub(1);
-        if self.active == 0 {
+        if self.jobs.is_empty() {
             for waiter in self.drain_waiters.drain(..) {
                 let _ = waiter.send(());
             }
@@ -331,10 +338,8 @@ impl Core {
                 cells,
                 events,
                 next_emit: 0,
-                terminal: false,
             },
         );
-        self.active += 1;
         self.emit(
             id,
             Json::Obj(vec![
@@ -378,7 +383,7 @@ impl Core {
                 return;
             };
             let Some(spec_json) = self.jobs.get(&job_id).and_then(|job| {
-                (!job.terminal && matches!(job.cells[cell_idx].state, CellState::Pending))
+                matches!(job.cells[cell_idx].state, CellState::Pending)
                     .then(|| job.cells[cell_idx].spec.to_json())
             }) else {
                 continue; // stale entry (job terminal or cell no longer pending)
@@ -409,9 +414,6 @@ impl Core {
             let Some(job) = self.jobs.get_mut(&job_id) else {
                 return;
             };
-            if job.terminal {
-                return;
-            }
             if job.next_emit < job.total {
                 let index = job.next_emit;
                 let CellState::Done(payload) = &job.cells[index].state else {
@@ -459,9 +461,7 @@ impl Core {
                 instructions as f64 / cycles as f64
             };
             let total = job.total;
-            let hash = job.hash;
-            job.terminal = true;
-            self.emit(
+            self.terminate(
                 job_id,
                 Json::Obj(vec![
                     ("type".into(), Json::str("finished")),
@@ -477,11 +477,8 @@ impl Core {
                         ]),
                     ),
                 ]),
+                Terminal::Finished,
             );
-            if let Some(job) = self.jobs.get_mut(&job_id) {
-                job.events = None; // close the stream after the terminal
-            }
-            self.log_terminal(hash, Terminal::Finished);
             self.metrics.jobs_completed.inc();
             self.job_done();
             return;
@@ -489,53 +486,36 @@ impl Core {
     }
 
     fn fail_job(&mut self, job_id: u64, error: &str) {
-        let Some(job) = self.jobs.get_mut(&job_id) else {
-            return;
-        };
-        if job.terminal {
+        if !self.jobs.contains_key(&job_id) {
             return;
         }
-        job.terminal = true;
-        let hash = job.hash;
-        self.emit(
+        self.terminate(
             job_id,
             Json::Obj(vec![
                 ("type".into(), Json::str("failed")),
                 ("job".into(), Json::u64(job_id)),
                 ("error".into(), Json::str(error.to_string())),
             ]),
+            Terminal::Failed,
         );
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            job.events = None;
-        }
-        self.log_terminal(hash, Terminal::Failed);
         self.metrics.jobs_failed.inc();
         self.cancel_inflight(job_id);
         self.job_done();
     }
 
     fn cancel(&mut self, job_id: u64) -> bool {
-        let Some(job) = self.jobs.get_mut(&job_id) else {
+        let Some(completed) = self.jobs.get(&job_id).map(|job| job.next_emit) else {
             return false;
         };
-        if job.terminal {
-            return false;
-        }
-        job.terminal = true;
-        let hash = job.hash;
-        let completed = job.next_emit;
-        self.emit(
+        self.terminate(
             job_id,
             Json::Obj(vec![
                 ("type".into(), Json::str("cancelled")),
                 ("job".into(), Json::u64(job_id)),
                 ("completed".into(), Json::u64(completed as u64)),
             ]),
+            Terminal::Cancelled,
         );
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            job.events = None;
-        }
-        self.log_terminal(hash, Terminal::Cancelled);
         self.metrics.jobs_cancelled.inc();
         self.cancel_inflight(job_id);
         self.job_done();
@@ -644,9 +624,7 @@ impl Core {
                         // The worker dropped a cell we still need
                         // (e.g. its own shutdown path) — requeue it.
                         if let Some(job) = self.jobs.get_mut(&job_id) {
-                            if !job.terminal
-                                && matches!(job.cells[cell_idx].state, CellState::Inflight(_))
-                            {
+                            if matches!(job.cells[cell_idx].state, CellState::Inflight(_)) {
                                 job.cells[cell_idx].state = CellState::Pending;
                                 self.pending.push_front((job_id, cell_idx));
                                 self.metrics.cells_requeued.inc();
@@ -681,9 +659,7 @@ impl Core {
         let mut requeued = 0u64;
         for (job_id, cell_idx) in lost {
             if let Some(job) = self.jobs.get_mut(&job_id) {
-                if !job.terminal
-                    && matches!(job.cells[cell_idx].state, CellState::Inflight(w) if w == idx)
-                {
+                if matches!(job.cells[cell_idx].state, CellState::Inflight(w) if w == idx) {
                     job.cells[cell_idx].state = CellState::Pending;
                     self.pending.push_front((job_id, cell_idx));
                     requeued += 1;
@@ -704,7 +680,7 @@ impl Core {
     }
 
     fn drain(&mut self, reply: mpsc::Sender<()>) {
-        if self.active == 0 {
+        if self.jobs.is_empty() {
             let _ = reply.send(());
         } else {
             self.drain_waiters.push(reply);
@@ -746,6 +722,9 @@ fn scheduler_loop(mut core: Core, rx: mpsc::Receiver<Msg>) {
             Msg::Drain { reply } => core.drain(reply),
             Msg::Status { reply } => {
                 let _ = reply.send(core.status());
+            }
+            Msg::TrackedJobs { reply } => {
+                let _ = reply.send(core.jobs.len());
             }
         }
     }
@@ -864,7 +843,6 @@ impl Dispatcher {
             jobs: HashMap::new(),
             next_job: 1,
             pending: VecDeque::new(),
-            active: 0,
             drain_waiters: Vec::new(),
             max_outstanding: config.max_outstanding.max(1),
             metrics,
@@ -967,6 +945,17 @@ impl Dispatcher {
         reply_rx.recv().unwrap_or_default()
     }
 
+    /// Jobs the dispatcher still holds: accepted and not yet terminal.
+    /// A job is dropped, cells and all, once its terminal event is out.
+    #[must_use]
+    pub fn tracked_jobs(&self) -> usize {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        if self.tx.send(Msg::TrackedJobs { reply: reply_tx }).is_err() {
+            return 0;
+        }
+        reply_rx.recv().unwrap_or(0)
+    }
+
     /// Forcibly tears down a worker link as if it had died (test and
     /// operations hook; the worker process itself is untouched).
     pub fn sever_worker(&self, worker: usize) {
@@ -1019,6 +1008,7 @@ mod tests {
             "no cell ran"
         );
         assert!(!dispatcher.cancel(id), "already terminal");
+        assert_eq!(dispatcher.tracked_jobs(), 0, "cancelled job retired");
     }
 
     #[test]
@@ -1078,6 +1068,7 @@ mod tests {
         assert_eq!(merged.get("cycles").and_then(Json::as_u64), Some(800));
         assert_eq!(merged.get("llc_misses").and_then(Json::as_u64), Some(42));
         dispatcher.drain(); // returns immediately: nothing active
+        assert_eq!(dispatcher.tracked_jobs(), 0, "finished job retired");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

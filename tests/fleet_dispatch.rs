@@ -1,7 +1,8 @@
 //! Fleet dispatcher integration: the dispatcher's event stream is
 //! bit-identical to the single-service path, identical resubmissions
 //! are served entirely from the result store (zero cells executed),
-//! back-to-back jobs with millisecond cells all finish, killing one
+//! back-to-back jobs with millisecond cells all finish and leave the
+//! dispatcher's job table empty, killing one
 //! of N workers requeues its work and completes the job with correct
 //! results, and small jobs finish well under the ~40 ms a delayed ACK
 //! would add to every line-protocol exchange.
@@ -192,6 +193,35 @@ fn back_to_back_one_millisecond_cells_all_finish() {
             .unwrap_or_else(|e| panic!("job {seed} did not finish: {e}"));
     }
     jobs.join().expect("job thread");
+}
+
+#[test]
+fn finished_jobs_are_retired_from_the_job_table() {
+    const JOBS: u64 = 50;
+    let _guard = serialize();
+    let worker = WorkerGuard::start(1);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![worker.addr.to_string()],
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let mut first = None;
+    for seed in 0..JOBS {
+        let mut spec = JobSpec::bench("mcf");
+        spec.instructions = 1_000;
+        spec.seed = seed; // a fresh seed misses the result store
+        let handle = dispatcher.submit(&spec).expect("submit");
+        first.get_or_insert(handle.id);
+        let events = handle.wait();
+        let last = events.last().and_then(|e| e.get("type")?.as_str());
+        assert_eq!(last, Some("finished"), "job {seed}: {events:?}");
+    }
+    assert_eq!(dispatcher.tracked_jobs(), 0, "every finished job retired");
+    let first = first.expect("at least one job ran");
+    assert!(
+        !dispatcher.cancel(first),
+        "a finished job cannot be cancelled"
+    );
 }
 
 #[test]
