@@ -58,11 +58,9 @@
 //! aggregate telemetry before each record is built (`series_reconciles`,
 //! gated in CI).
 //!
-//! Every record also carries `*_vs_pr1` ratios against the wall-clock
-//! the PR 1 kernel recorded in its own `BENCH_kernel.json` (same
-//! workload, same budget). Absolute seconds are host-dependent; the
-//! within-run per-cycle/event-driven ratio is measured with mirrored
-//! ABBA ordering so host drift cancels.
+//! Absolute seconds are host-dependent; the within-run
+//! per-cycle/event-driven ratio is measured with mirrored ABBA ordering
+//! so host drift cancels.
 //!
 //! Sweeps run through the shared [`crate::runner::par_sweep`] harness;
 //! result tables are asserted identical between the two advance policies
@@ -85,26 +83,6 @@ use secddr_telemetry::{report as series_report, SeriesSnapshot, TelemetrySnapsho
 use sim_kernel::Advance;
 
 use crate::runner::{sweep_with_options, Sweep};
-
-/// Wall-clock seconds PR 1's kernel recorded for (per-cycle,
-/// event-driven) per record, from the `BENCH_kernel.json` it committed.
-/// `None` for records PR 1 did not measure.
-const PR1_BASELINE: [(&str, Option<(f64, f64)>); 4] = [
-    ("fig6_smoke_sweep", Some((2.960, 3.114))),
-    ("pointer_chase_runs", Some((0.216, 0.141))),
-    ("dram_idle_gaps", Some((0.052, 0.001))),
-    ("batched_ingestion", None),
-];
-
-/// Instruction budget PR 1's baseline numbers were recorded at; the
-/// `*_vs_pr1` ratios are only meaningful (and only emitted) when the
-/// current run uses the same budget.
-const PR1_BASELINE_INSTRUCTIONS: u64 = 40_000;
-
-/// Baseline wall-clocks below this are at the artifact's rounding
-/// granularity; a ratio against them would be quantization noise, so the
-/// field is omitted instead.
-const MIN_MEANINGFUL_BASELINE_SECS: f64 = 0.01;
 
 /// Series epoch width (CPU cycles) for the sharded and multicore
 /// records: scales with the instruction budget so epoch counts stay in
@@ -439,9 +417,10 @@ fn multicore_records(params: RunParams) -> Vec<Record> {
     // this one allocation.
     let trace = bench.generate_shared(params.instructions, params.seed);
 
-    // Single-core baseline for the N=1 identity gate: the monolithic
-    // CpuSystem over an identically built backend, fed the same
-    // window-mapped trace stream (event-driven, the default options).
+    // Single-core baseline for the N=1 identity gate: CpuSystem (the
+    // scheduler's one-core view) over an identically built backend, fed
+    // the same window-mapped trace stream (event-driven, the default
+    // options).
     let single = {
         let options = EngineOptions::default();
         let cpu_cfg = CpuConfig {
@@ -617,12 +596,7 @@ struct Record {
 }
 
 impl Record {
-    fn to_json(&self, at_baseline_budget: bool) -> String {
-        let pr1 = PR1_BASELINE
-            .iter()
-            .find(|(n, _)| *n == self.name)
-            .and_then(|(_, b)| *b)
-            .filter(|_| at_baseline_budget);
+    fn to_json(&self) -> String {
         let mut extra = String::new();
         if let Some((ref_steps, fast_steps)) = self.core_steps {
             extra.push_str(&format!(
@@ -695,20 +669,6 @@ impl Record {
                 series.epochs(),
                 phases.join(", ")
             ));
-        }
-        if let Some((pr1_ref, pr1_fast)) = pr1 {
-            if pr1_ref >= MIN_MEANINGFUL_BASELINE_SECS {
-                extra.push_str(&format!(
-                    ",\n    \"per_cycle_vs_pr1\": {:.2}",
-                    pr1_ref / self.ref_secs
-                ));
-            }
-            if pr1_fast >= MIN_MEANINGFUL_BASELINE_SECS {
-                extra.push_str(&format!(
-                    ",\n    \"event_driven_vs_pr1\": {:.2}",
-                    pr1_fast / self.fast_secs
-                ));
-            }
         }
         format!(
             "  {{\n    \"benchmark\": \"{}\",\n    \
@@ -844,11 +804,7 @@ pub fn report(instructions: u64, seed: u64) -> String {
     let threads = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(16);
-    let at_baseline_budget = instructions == PR1_BASELINE_INSTRUCTIONS;
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| r.to_json(at_baseline_budget))
-        .collect();
+    let body: Vec<String> = records.iter().map(Record::to_json).collect();
     format!(
         "{{\n  \"instructions_per_run\": {instructions},\n  \
            \"seed\": {seed},\n  \

@@ -3,7 +3,6 @@
 
 use secddr_core::config::SecurityConfig;
 use secddr_core::system::{run_benchmark, RunParams};
-use workloads::Benchmark;
 
 use crate::runner::par_sweep;
 
@@ -14,13 +13,7 @@ pub fn run_with_budget(instructions: u64, seed: u64) {
     let cfg = SecurityConfig::tree_64ary();
     let params = RunParams { instructions, seed };
 
-    let benches: Vec<Benchmark> = match crate::bench_filter() {
-        Some(f) => Benchmark::all()
-            .into_iter()
-            .filter(|b| f.iter().any(|n| n == b.name()))
-            .collect(),
-        None => Benchmark::all(),
-    };
+    let benches = crate::selected_benchmarks();
 
     let rows = par_sweep(benches.clone(), move |bench| {
         let r = run_benchmark(bench, &cfg, &params);

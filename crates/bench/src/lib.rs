@@ -14,8 +14,12 @@
 //!   budgets sharpen the numbers at proportional runtime).
 //! * `SECDDR_SEED` — trace generation seed (default 0xD5).
 //! * `SECDDR_BENCH` — comma-separated benchmark filter (default: all 29).
+//!   An unknown name or an empty selection panics with the valid names
+//!   ([`selected_benchmarks`]).
 
 #![forbid(unsafe_code)]
+
+use workloads::Benchmark;
 
 pub mod ablations;
 pub mod bench_kernel;
@@ -45,9 +49,97 @@ pub fn seed() -> u64 {
         .unwrap_or(0xD5)
 }
 
-/// Benchmark filter from `SECDDR_BENCH`.
-pub fn bench_filter() -> Option<Vec<String>> {
-    std::env::var("SECDDR_BENCH")
-        .ok()
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
+/// The benchmarks `SECDDR_BENCH` selects, in Figure 6 order (all 29
+/// when it is unset).
+///
+/// # Panics
+///
+/// Panics when the filter names a benchmark that does not exist or
+/// selects none, listing the valid names.
+pub fn selected_benchmarks() -> Vec<Benchmark> {
+    let filter = std::env::var("SECDDR_BENCH").ok();
+    parse_bench_filter(filter.as_deref()).unwrap_or_else(|e| panic!("SECDDR_BENCH: {e}"))
+}
+
+/// Resolves a comma-separated benchmark filter (`None` selects every
+/// benchmark) into benchmarks in Figure 6 order.
+///
+/// # Errors
+///
+/// Names the unknown entries, or reports an empty selection, together
+/// with the list of valid names.
+fn parse_bench_filter(filter: Option<&str>) -> Result<Vec<Benchmark>, String> {
+    let all = Benchmark::all();
+    let Some(filter) = filter else {
+        return Ok(all);
+    };
+    let names: Vec<&str> = filter
+        .split(',')
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .collect();
+    let valid = || {
+        all.iter()
+            .map(Benchmark::name)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let unknown: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|n| all.iter().all(|b| b.name() != *n))
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unknown benchmark(s) {}; valid names: {}",
+            unknown.join(","),
+            valid()
+        ));
+    }
+    if names.is_empty() {
+        return Err(format!("selects no benchmark; valid names: {}", valid()));
+    }
+    Ok(all
+        .into_iter()
+        .filter(|b| names.contains(&b.name()))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(benches: &[Benchmark]) -> Vec<&'static str> {
+        benches.iter().map(Benchmark::name).collect()
+    }
+
+    #[test]
+    fn no_filter_selects_every_benchmark() {
+        assert_eq!(
+            names(&parse_bench_filter(None).unwrap()),
+            names(&Benchmark::all())
+        );
+    }
+
+    #[test]
+    fn valid_filter_keeps_figure_order() {
+        let benches = parse_bench_filter(Some(" povray, mcf ,mcf")).unwrap();
+        assert_eq!(names(&benches), ["mcf", "povray"]);
+    }
+
+    #[test]
+    fn unknown_names_are_reported_with_the_valid_list() {
+        let err = parse_bench_filter(Some("mfc,povray")).unwrap_err();
+        assert!(err.contains("unknown benchmark(s) mfc;"), "{err}");
+        assert!(err.contains("valid names: "), "{err}");
+        assert!(err.contains("mcf"), "{err}");
+    }
+
+    #[test]
+    fn empty_filter_is_rejected() {
+        for filter in ["", " , "] {
+            let err = parse_bench_filter(Some(filter)).unwrap_err();
+            assert!(err.starts_with("selects no benchmark"), "{err}");
+        }
+    }
 }

@@ -47,13 +47,7 @@ pub fn sweep_with_options(
     params: RunParams,
     options: EngineOptions,
 ) -> Sweep {
-    let benches: Vec<Benchmark> = match crate::bench_filter() {
-        Some(filter) => Benchmark::all()
-            .into_iter()
-            .filter(|b| filter.iter().any(|f| f == b.name()))
-            .collect(),
-        None => Benchmark::all(),
-    };
+    let benches = crate::selected_benchmarks();
     let tdx = SecurityConfig::tdx_baseline();
 
     let config_list = configs.to_vec();

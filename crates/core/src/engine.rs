@@ -92,7 +92,7 @@ pub struct EngineOptions {
     /// Metadata cache capacity in bytes (Table I: 128 KB).
     pub metadata_cache_bytes: u64,
     /// Fetch missing tree levels serially (one after the other) instead of
-    /// in parallel. The paper's baseline "allow[s] parallel tree-level
+    /// in parallel. The paper's baseline "allow\[s\] parallel tree-level
     /// verification"; serial fetch quantifies what that buys.
     pub serial_tree_fetch: bool,
     /// Force BL8 writes even for SecDDR (isolates the eWCRC burst cost).

@@ -1,23 +1,20 @@
 //! The reusable per-core step state machine.
 //!
-//! [`CoreEngine`] is the monolithic `CpuSystem::run` loop body extracted
-//! into a steppable unit: one ROB-limited OOO core with its private L1D
-//! and stream prefetcher, advanced one cycle at a time against a
-//! *borrowed* shared LLC and a *borrowed* [`MemoryBackend`]. Everything
-//! that was per-run local state in the old loop (trace exhaustion, the
-//! stalled op, the idle-skip heuristics) lives inside the engine, so a
-//! caller owns only the clock, the LLC, and the backend:
+//! [`CoreEngine`] is one ROB-limited OOO core with its private L1D and
+//! stream prefetcher, advanced one cycle at a time against a *borrowed*
+//! shared LLC and a *borrowed* [`MemoryBackend`]. Everything that is
+//! per-core run state (trace exhaustion, the stalled op, the idle-skip
+//! heuristics) lives inside the engine, so its caller — the scheduler in
+//! [`crate::sched`], the workspace's one core run loop — owns only the
+//! clock, the LLC, and the backend, and interleaves N engines by
+//! next-event time ([`crate::system::CpuSystem`] is the `N = 1` case).
 //!
-//! * [`crate::system::CpuSystem`] drives one `CoreEngine` and is
-//!   observationally identical to the pre-extraction monolith;
-//! * `secddr-multicore` drives N of them against one shared LLC and one
-//!   shared backend, interleaving cores by next-event time.
-//!
-//! The event-driven contract is unchanged: [`CoreEngine::wake_bound`] is
-//! a lower bound on the next cycle at which this core's per-cycle step
-//! could do any work, so a scheduler may skip the core (or the whole
-//! simulation) up to that cycle and stay bit-identical to lock-step
-//! semantics.
+//! The event-driven contract: [`CoreEngine::wake_bound`] is a lower
+//! bound on the next cycle at which this core's per-cycle step could do
+//! any work, and [`CoreEngine::sleep_plan`] — the only idle-skip policy —
+//! turns it into a sleep the scheduler may honour (skipping the core, or
+//! the whole simulation, up to that cycle) while staying bit-identical
+//! to lock-step semantics.
 
 use std::collections::VecDeque;
 
@@ -33,8 +30,9 @@ use crate::trace::TraceOp;
 /// paying for its own bound computation (drives the backoff heuristic).
 const MIN_SKIP_YIELD: u64 = 16;
 
-/// Number of consecutive idle cycles before the run loop starts probing
-/// skip bounds: short bubbles are cheaper to simulate than to analyze.
+/// Number of consecutive idle cycles before a capacity-bound sleep starts
+/// probing skip bounds: short bubbles are cheaper to simulate than to
+/// analyze.
 const MIN_IDLE_STREAK: u32 = 16;
 
 #[derive(Debug)]
@@ -47,13 +45,13 @@ struct Outstanding {
 /// What one [`CoreEngine::step`] did, for the scheduler above it.
 ///
 /// (Whether the step *progressed* stays internal: it only feeds the
-/// core's own idle-streak gating, which [`CoreEngine::sleep_bound`]
-/// already encapsulates for schedulers.)
+/// core's own idle-streak gating, which [`CoreEngine::sleep_plan`]
+/// already encapsulates for the scheduler.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// The step submitted at least one *accepted* access to the backend.
-    /// A multi-core scheduler must refresh other sleeping cores' wake
-    /// bounds after such a cycle: their bounds were computed against the
+    /// The scheduler must refresh other sleeping cores' wake bounds
+    /// after such a cycle: their bounds were computed against the
     /// pre-submission backend state.
     pub submitted: bool,
     /// The core drained everything: trace exhausted, ROB empty, no
@@ -62,7 +60,7 @@ pub struct StepOutcome {
     pub finished: bool,
 }
 
-/// How a multi-core scheduler should treat a core after a step, from
+/// How the next-event scheduler should treat a core after a step, from
 /// [`CoreEngine::sleep_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SleepPlan {
@@ -178,12 +176,10 @@ impl CoreEngine {
     }
 
     /// Re-arms the core for another trace: clears trace exhaustion, the
-    /// recorded finish cycle, and the idle streak — the state the
-    /// pre-extraction monolithic run loop kept per run. A subsequent run
-    /// then continues *cumulatively* (warm caches, continuing clock,
-    /// accumulating statistics), exactly as calling the monolith's `run`
-    /// twice did; without this re-arm a drained core treats any further
-    /// trace as already finished.
+    /// recorded finish cycle, and the idle streak — the per-run state. A
+    /// subsequent run then continues *cumulatively* (warm caches,
+    /// continuing clock, accumulating statistics); without this re-arm a
+    /// drained core treats any further trace as already finished.
     pub fn begin_trace(&mut self) {
         self.trace_done = false;
         self.finished_at = None;
@@ -191,8 +187,7 @@ impl CoreEngine {
     }
 
     /// The core's results so far. `cycles` is the cycle the finish
-    /// condition first held (the single-core run loop's final cycle), or
-    /// zero while the core is still running.
+    /// condition first held, or zero while the core is still running.
     #[must_use]
     pub fn result(&self) -> SimResult {
         SimResult {
@@ -330,40 +325,6 @@ impl CoreEngine {
         }
     }
 
-    /// Heuristically gated wake-bound probe, for the event-driven run
-    /// loops: returns a sound wake-up cycle only once the core has been
-    /// idle long enough that computing the bound pays for itself, and
-    /// applies exponential backoff in event-dense phases (both heuristics
-    /// affect wall-clock only, never simulated results).
-    ///
-    /// The caller may skip the core (or the global clock) to `wake - 1`
-    /// whenever `wake > now + 1`.
-    pub fn sleep_bound<B: MemoryBackend>(&mut self, now: u64, backend: &B) -> Option<u64> {
-        if !self.cfg.advance.is_event_driven() || self.idle_streak < MIN_IDLE_STREAK {
-            return None;
-        }
-        if self.skip_cooldown > 0 {
-            // Recent bounds yielded next to nothing (an event-dense
-            // phase): run per-cycle for a while instead of paying for
-            // bounds that cannot pay off.
-            self.skip_cooldown -= 1;
-            return None;
-        }
-        let wake = self.wake_bound(now, backend)?;
-        let skip_yield = wake.saturating_sub(now + 1);
-        if skip_yield >= MIN_SKIP_YIELD {
-            self.skip_backoff = 0;
-        } else {
-            // A probe that did not pay for itself — whether it bought
-            // nothing or only a handful of cycles, the phase is
-            // event-dense, so probe exponentially less often (small
-            // skips are still taken by the caller).
-            self.skip_backoff = (self.skip_backoff * 2 + 1).min(256);
-            self.skip_cooldown = self.skip_backoff;
-        }
-        Some(wake)
-    }
-
     /// Lower bound on the next cycle at which the per-cycle step could do
     /// any work, or `None` when it must run the very next cycle.
     ///
@@ -380,9 +341,9 @@ impl CoreEngine {
     ///
     /// The bound is computed against the backend's *current* state; a
     /// later accepted submission (by this core or, under a shared
-    /// backend, any other core) invalidates it, so multi-core schedulers
-    /// must re-derive sleeping cores' bounds after any cycle that
-    /// submitted (see [`StepOutcome::submitted`]).
+    /// backend, any other core) invalidates it, so the scheduler must
+    /// re-derive sleeping cores' bounds after any cycle that submitted
+    /// (see [`StepOutcome::submitted`]).
     #[must_use]
     pub fn wake_bound<B: MemoryBackend>(&self, now: u64, backend: &B) -> Option<u64> {
         if !self.dispatch_idle() {
@@ -453,8 +414,8 @@ impl CoreEngine {
         }
     }
 
-    /// Classifies this core's wait for a multi-core next-event scheduler,
-    /// right after a step at `now`.
+    /// Classifies this core's wait for the next-event scheduler, right
+    /// after a step at `now`.
     ///
     /// The key split is *exact* versus *capacity-bounded* waits. A core
     /// that is not blocked on backend capacity (no refused writebacks, no
@@ -465,10 +426,10 @@ impl CoreEngine {
     /// a sleep needs no backend probe at all, never fires spuriously, and
     /// stays valid across other cores' submissions. Capacity waits are
     /// only *bounded* by the shared backend's queue-space events, so they
-    /// carry `capacity: true` (refresh-on-submit) and are gated by the
-    /// same streak/backoff heuristics as [`Self::sleep_bound`] — the
-    /// probe folds DRAM state and must pay for itself (wall-clock only,
-    /// never simulated results).
+    /// carry `capacity: true` (refresh-on-submit) and are gated by an
+    /// idle-streak threshold plus exponential backoff in event-dense
+    /// phases — the probe folds DRAM state and must pay for itself
+    /// (wall-clock only, never simulated results).
     pub fn sleep_plan<B: MemoryBackend>(&mut self, now: u64, backend: &B) -> SleepPlan {
         if !self.cfg.advance.is_event_driven() || !self.dispatch_idle() {
             return SleepPlan::Run;

@@ -1,13 +1,13 @@
-//! N OOO cores sharing one LLC and one memory backend behind a true
-//! next-event scheduler.
+//! The next-event core scheduler: N OOO cores sharing one LLC and one
+//! memory backend. It is the workspace's only core run loop —
+//! [`crate::CpuSystem`] is its one-core view.
 //!
 //! [`MultiCoreSystem`] owns N [`CoreEngine`]s (each a private ROB, L1D
-//! and stream prefetcher — the machinery extracted from `CpuSystem`),
-//! one shared LLC, and one [`MemoryBackend`]. Completed read tokens are
-//! routed to their owning cores, so the backend is oblivious to the core
-//! count — exactly the seam `ShardedEngine` already presents to a single
-//! core, which is what makes cores × channels compose
-//! (`MultiCoreSystem<ShardedEngine>` works unchanged).
+//! and stream prefetcher), one shared LLC, and one [`MemoryBackend`].
+//! Completed read tokens are routed to their owning cores, so the
+//! backend is oblivious to the core count; a multi-channel backend
+//! (`ShardedEngine`) presents the same seam, which is what makes cores ×
+//! channels compose (`MultiCoreSystem<ShardedEngine>` works unchanged).
 //!
 //! # Scheduling
 //!
@@ -45,8 +45,8 @@
 //! [`sim_kernel::Advance::PerCycle`], where every core steps every cycle
 //! against a backend ticked every cycle.
 //!
-//! The backend side of each jump is block-advanced too: since PR 7 the
-//! DDR4 controllers ride their exact *decision bound*
+//! The backend side of each jump is block-advanced too: the DDR4
+//! controllers ride their exact *decision bound*
 //! (`DramSystem::tick_until`), executing only the cycles where a
 //! command can issue or a completion pop. Saturated phases — where both
 //! policies used to converge on one controller tick per busy DRAM
@@ -54,13 +54,19 @@
 //! `controller_decision_cycles` / `controller_busy_cycles` counters in
 //! `BENCH_kernel.json` measure exactly this gap.
 
-use cpu_model::exec::{CoreEngine, SleepPlan};
-use cpu_model::system::{AccessKind, BatchAccess, Busy, MemoryBackend};
-use cpu_model::{Cache, CacheConfig, CacheStats, CpuConfig, SimResult, TraceOp};
 use secddr_telemetry::TelemetrySnapshot;
 use sim_kernel::{EventQueue, SimClock};
 
-use crate::telemetry::WakeReasons;
+use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::core::CpuConfig;
+use crate::exec::{CoreEngine, SleepPlan};
+use crate::system::{AccessKind, BatchAccess, Busy, MemoryBackend, SimResult};
+use crate::trace::TraceOp;
+
+mod series;
+mod wake;
+
+pub use wake::WakeReasons;
 
 /// Sentinel in the token→core table: no routing entry (writes, and
 /// tokens whose completion was already delivered).
@@ -229,9 +235,9 @@ pub struct MultiCoreSystem<B> {
     /// Wake-reason attribution for the event-driven scheduler (all zero
     /// under the per-cycle reference, which never sleeps a core).
     wake: WakeReasons,
-    /// Opt-in sim-time windowed series recorder (see [`crate::series`]);
+    /// Opt-in sim-time windowed series recorder (see [`series`]);
     /// `None` costs one branch per cycle and nothing else.
-    series: Option<crate::series::MulticoreSeries>,
+    series: Option<series::MulticoreSeries>,
 }
 
 impl<B: MemoryBackend> MultiCoreSystem<B> {
@@ -267,7 +273,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     ///
     /// Panics if `epoch_width` is zero.
     pub fn enable_series(&mut self, epoch_width: u64) {
-        self.series = Some(crate::series::MulticoreSeries::new(
+        self.series = Some(series::MulticoreSeries::new(
             epoch_width,
             &self.wake,
             &self.core_steps,
@@ -340,8 +346,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     ///
     /// Calling `run` again continues cumulatively: the clock keeps
     /// advancing, the shared LLC and per-core caches stay warm, and
-    /// counters accumulate across runs (the single-core `CpuSystem`
-    /// re-run semantics, per core).
+    /// counters accumulate across runs.
     ///
     /// # Panics
     ///
@@ -646,9 +651,9 @@ fn earliest_wake(heap: &mut EventQueue<usize>, bounds: &[u64]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{AddressSpace, CoreTrace};
-    use cpu_model::{Advance, CpuSystem, FixedLatencyBackend};
-    use std::sync::Arc;
+    use crate::system::FixedLatencyBackend;
+    use crate::CpuSystem;
+    use sim_kernel::Advance;
 
     fn mixed_trace(seed: u64, len: u64) -> Vec<TraceOp> {
         (0..len)
@@ -673,17 +678,16 @@ mod tests {
     }
 
     #[test]
-    fn single_core_matches_cpusystem() {
+    fn single_core_event_driven_matches_per_cycle() {
         let trace = mixed_trace(0xA5, 3_000);
-        for advance in [Advance::ToNextEvent, Advance::PerCycle] {
-            let single = CpuSystem::new(cfg(advance), FixedLatencyBackend::new(180))
-                .run(trace.iter().copied());
-            let mut multi = MultiCoreSystem::new(1, cfg(advance), FixedLatencyBackend::new(180));
-            let result = multi.run(vec![trace.iter().copied()]);
-            assert_eq!(result.per_core.len(), 1);
-            assert_eq!(result.per_core[0], single, "{advance:?}");
-            assert_eq!(result.merged(), single, "{advance:?}");
-        }
+        let run = |advance| {
+            let mut sys = MultiCoreSystem::new(1, cfg(advance), FixedLatencyBackend::new(180));
+            sys.run(vec![trace.iter().copied()])
+        };
+        let fast = run(Advance::ToNextEvent);
+        assert_eq!(fast.per_core.len(), 1);
+        assert_eq!(fast.merged(), fast.per_core[0]);
+        assert_eq!(fast, run(Advance::PerCycle));
     }
 
     #[test]
@@ -697,29 +701,11 @@ mod tests {
     }
 
     #[test]
-    fn rate_mode_retires_every_copy() {
-        let trace = Arc::new(mixed_trace(3, 2_000));
-        let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
-        let mut sys =
-            MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(200));
-        let result = sys.run(CoreTrace::rate(&trace, 1 << 32, 4));
-        assert_eq!(result.per_core.len(), 4);
-        for r in &result.per_core {
-            assert_eq!(r.instructions, per_copy);
-        }
-        assert_eq!(result.merged().instructions, 4 * per_copy);
-        assert_eq!(
-            result.merged().cycles,
-            result.per_core.iter().map(|r| r.cycles).max().unwrap()
-        );
-    }
-
-    #[test]
     fn per_core_llc_shares_sum_to_shared_totals() {
-        let trace = Arc::new(mixed_trace(11, 3_000));
+        let traces: Vec<Vec<TraceOp>> = (0..4).map(|c| mixed_trace(c * 5 + 11, 3_000)).collect();
         let mut sys =
             MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let result = sys.run(CoreTrace::rate(&trace, 1 << 32, 4));
+        let result = sys.run(traces.iter().map(|t| t.iter().copied()).collect());
         let merged = result.merged();
         assert_eq!(&merged.llc, sys.llc_stats());
         assert!(merged.llc.misses > 0);
@@ -739,23 +725,6 @@ mod tests {
             assert_eq!(r.cycles, alone.cycles);
             assert_eq!(r.instructions, alone.instructions);
         }
-    }
-
-    #[test]
-    fn heterogeneous_mix_produces_per_core_results() {
-        let a = Arc::new(mixed_trace(1, 1_500));
-        let b = Arc::new((0..500).map(|_| TraceOp::Compute(50)).collect::<Vec<_>>());
-        let mut sys =
-            MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(220));
-        let result = sys.run(CoreTrace::mix(
-            vec![Arc::clone(&a), Arc::clone(&b)],
-            1 << 32,
-        ));
-        let ia: u64 = a.iter().map(TraceOp::instructions).sum();
-        let ib: u64 = b.iter().map(TraceOp::instructions).sum();
-        assert_eq!(result.per_core[0].instructions, ia);
-        assert_eq!(result.per_core[1].instructions, ib);
-        assert!(result.per_core[1].ipc() > result.per_core[0].ipc());
     }
 
     #[test]
@@ -785,36 +754,17 @@ mod tests {
     }
 
     #[test]
-    fn identity_address_space_shares_lines_across_cores() {
-        // Core 0 fetches a line; core 1 touches the same trace address
-        // much later (after a long compute ramp). With the identity
-        // disambiguator core 1 hits the line core 0 installed in the
-        // shared LLC; with per-core windows the addresses are disjoint
-        // and both cores miss.
-        let early = Arc::new(vec![TraceOp::Load(0x40_0000)]);
-        let late = Arc::new(vec![TraceOp::Compute(6_000), TraceOp::Load(0x40_0000)]);
-        let misses_with = |space: AddressSpace| {
-            let mut sys =
-                MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100));
-            let traces = vec![
-                CoreTrace::new(Arc::clone(&early), 0, space),
-                CoreTrace::new(Arc::clone(&late), 1, space),
-            ];
-            sys.run(traces).merged().llc.misses
-        };
-        assert_eq!(misses_with(AddressSpace::identity()), 1);
-        assert_eq!(misses_with(AddressSpace::windows(1 << 32, 2)), 2);
-    }
-
-    #[test]
     fn second_run_continues_cumulatively() {
-        let trace = Arc::new(mixed_trace(9, 800));
-        let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
+        let traces = [mixed_trace(9, 800), mixed_trace(10, 800)];
+        let run = |sys: &mut MultiCoreSystem<FixedLatencyBackend>| {
+            sys.run(traces.iter().map(|t| t.iter().copied()).collect())
+        };
         let mut sys =
             MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let r1 = sys.run(CoreTrace::rate(&trace, 1 << 32, 2));
-        let r2 = sys.run(CoreTrace::rate(&trace, 1 << 32, 2));
-        for (a, b) in r1.per_core.iter().zip(&r2.per_core) {
+        let r1 = run(&mut sys);
+        let r2 = run(&mut sys);
+        for ((a, b), trace) in r1.per_core.iter().zip(&r2.per_core).zip(&traces) {
+            let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
             assert_eq!(a.instructions, per_copy);
             assert_eq!(b.instructions, 2 * per_copy, "counters accumulate");
             assert!(b.cycles > a.cycles, "clock keeps advancing");

@@ -2,7 +2,7 @@
 //! wake-reason attribution, per-core step counts, and per-core retired
 //! instructions, bucketed into fixed CPU-cycle epochs.
 //!
-//! Same zero-perturbation discipline as [`crate::WakeReasons`] itself:
+//! Same zero-perturbation discipline as [`WakeReasons`] itself:
 //! the recorder is opt-in (`Option` on the system), keeps plain
 //! non-atomic `u64`s, and lives entirely outside
 //! [`MultiCoreResult`](crate::MultiCoreResult) — enabling it provably
@@ -13,10 +13,10 @@
 //! every increment lands in the epoch containing its own timestamp, and
 //! all-asleep jumps leave the skipped interior epochs zero.
 
-use cpu_model::exec::CoreEngine;
 use secddr_telemetry::{EpochRoller, SeriesSnapshot};
 
-use crate::telemetry::WakeReasons;
+use super::WakeReasons;
+use crate::exec::CoreEngine;
 
 /// Scheduler-layer series recorder (see module docs). Owned by
 /// [`MultiCoreSystem`](crate::MultiCoreSystem) behind an `Option`.

@@ -1,8 +1,8 @@
 //! Wake-reason attribution for the next-event scheduler.
 //!
-//! Every time [`crate::MultiCoreSystem`]'s event-driven run loop moves a
-//! sleeping core back onto the awake-list, the wake is tagged with the
-//! reason the scheduler had for it. The counters are plain `u64`s
+//! Every time [`MultiCoreSystem`](super::MultiCoreSystem)'s event-driven
+//! run loop moves a sleeping core back onto the awake-list, the wake is
+//! tagged with the reason the scheduler had for it. The counters are plain `u64`s
 //! maintained inline (no atomics, no indirection), so attribution cannot
 //! perturb the simulation; the per-cycle reference policy never sleeps a
 //! core and leaves all of them at zero.

@@ -1,22 +1,19 @@
-//! Full CPU-side system: core + L1 + LLC + prefetcher over a pluggable
-//! memory backend.
+//! The CPU side's backend seam ([`MemoryBackend`]), its results
+//! ([`SimResult`]), and [`CpuSystem`]: one core + L1 + LLC + prefetcher
+//! over a pluggable memory backend.
 //!
-//! The per-core state machine itself lives in [`crate::exec::CoreEngine`]
-//! — [`CpuSystem`] composes one core with the clock, the LLC, and the
-//! backend it owns. The run loop rides the shared event-driven kernel:
-//! with [`sim_kernel::Advance::ToNextEvent`] (the [`CpuConfig`] default)
-//! it skips stretches where the per-cycle reference would provably do
-//! nothing — no retirement (ROB head not ready), no dispatch (stalled on
-//! a miss, a full ROB, or a busy backend), and no backend completion
-//! before the backend's own [`MemoryBackend::next_event`] bound. Skipped
-//! cycles still count toward [`SimResult::cycles`], so results are
-//! bit-identical to [`sim_kernel::Advance::PerCycle`].
+//! [`CpuSystem`] owns no loop of its own. It is the one-core view of the
+//! next-event scheduler ([`crate::sched::MultiCoreSystem`]), so a
+//! single-core run and an N-core run execute the same code under either
+//! [`sim_kernel::Advance`] policy. Skipped cycles still count toward
+//! [`SimResult::cycles`], so event-driven results are bit-identical to
+//! [`sim_kernel::Advance::PerCycle`].
 
-use sim_kernel::{EventQueue, SimClock};
+use sim_kernel::EventQueue;
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::CacheStats;
 use crate::core::CpuConfig;
-use crate::exec::CoreEngine;
+use crate::sched::{MultiCoreResult, MultiCoreSystem};
 use crate::trace::TraceOp;
 
 /// Direction of a backend access.
@@ -275,34 +272,25 @@ impl SimResult {
 }
 
 /// The simulated CPU: ROB-limited OOO core, L1D, shared LLC, stream
-/// prefetcher, and a [`MemoryBackend`] below.
+/// prefetcher, and a [`MemoryBackend`] below — a one-core
+/// [`MultiCoreSystem`].
 #[derive(Debug)]
-pub struct CpuSystem<B> {
-    backend: B,
-    llc: Cache,
-    core: CoreEngine,
-    clock: SimClock,
-}
+pub struct CpuSystem<B>(MultiCoreSystem<B>);
 
 impl<B: MemoryBackend> CpuSystem<B> {
     /// Builds a system with Table I cache geometry.
     pub fn new(cfg: CpuConfig, backend: B) -> Self {
-        Self {
-            backend,
-            llc: Cache::new(CacheConfig::llc()),
-            core: CoreEngine::new(cfg),
-            clock: SimClock::new(),
-        }
+        Self(MultiCoreSystem::new(1, cfg, backend))
     }
 
     /// Read access to the backend (for engine statistics).
     pub fn backend(&self) -> &B {
-        &self.backend
+        self.0.backend()
     }
 
     /// Mutable access to the backend.
     pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+        self.0.backend_mut()
     }
 
     /// Runs the trace to completion (drains the ROB and all outstanding
@@ -310,33 +298,9 @@ impl<B: MemoryBackend> CpuSystem<B> {
     ///
     /// Calling `run` again continues cumulatively: the clock keeps
     /// advancing, caches stay warm, and counters accumulate across runs.
-    pub fn run<T: Iterator<Item = TraceOp>>(&mut self, mut trace: T) -> SimResult {
-        self.core.begin_trace();
-        loop {
-            // Event-driven fast path: jump over cycles where the
-            // per-cycle reference would provably do nothing. The probe
-            // itself is heuristically gated inside the core (idle-streak
-            // threshold, event-dense backoff) — wall-clock only, never
-            // simulated results.
-            if let Some(wake) = self.core.sleep_bound(self.clock.now(), &self.backend) {
-                if wake > self.clock.now() + 1 {
-                    self.clock.skip_to(wake - 1);
-                }
-            }
-            let now = self.clock.tick();
-            let completions = self.backend.tick(now);
-            let outcome = self.core.step(
-                now,
-                &mut self.llc,
-                &mut self.backend,
-                &mut trace,
-                &completions,
-            );
-            if outcome.finished {
-                break;
-            }
-        }
-        self.core.result()
+    pub fn run<T: Iterator<Item = TraceOp>>(&mut self, trace: T) -> SimResult {
+        let MultiCoreResult { mut per_core } = self.0.run(vec![trace]);
+        per_core.swap_remove(0)
     }
 }
 
@@ -518,8 +482,7 @@ mod tests {
     #[test]
     fn second_run_continues_cumulatively() {
         // Re-running on a drained system simulates the new trace with a
-        // continuing clock, warm caches, and accumulating counters (the
-        // pre-CoreEngine monolith's semantics).
+        // continuing clock, warm caches, and accumulating counters.
         let mut sys = CpuSystem::new(CpuConfig::default(), FixedLatencyBackend::new(120));
         let r1 = sys.run((0..100u64).map(|i| TraceOp::Load(i * 64 * 131)));
         let r2 = sys.run((0..50u64).map(|_| TraceOp::Compute(60)));

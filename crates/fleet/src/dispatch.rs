@@ -22,7 +22,7 @@
 //!
 //! All state lives on a single scheduler thread fed by an mpsc channel
 //! (per-worker reader threads, a health-tick thread, and API calls all
-//! send [`Msg`]s), so there are no locks around job state and event
+//! send `Msg`s), so there are no locks around job state and event
 //! ordering per job is trivially the service's ordering: queued →
 //! started → cell (in index order) → finished/cancelled/failed.
 

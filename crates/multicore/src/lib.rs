@@ -1,25 +1,24 @@
-//! Multi-core front-end: N OOO cores sharing the LLC and memory engine
-//! behind one next-event scheduler.
+//! Multi-core rate mode: N cores running copies of one trace over the
+//! next-event scheduler.
 //!
-//! The paper evaluates SecDDR in 4-core rate mode; this crate is that
-//! front-end. It composes the per-core state machine extracted from the
-//! single-core system ([`cpu_model::exec::CoreEngine`]) with one shared
-//! LLC and one shared [`cpu_model::MemoryBackend`]:
+//! The paper evaluates SecDDR in 4-core rate mode; this crate supplies
+//! the traces for it. The scheduler itself lives in `cpu_model`
+//! ([`cpu_model::sched`]), where the single-core `CpuSystem` is its
+//! one-core view; its names are re-exported here so existing import
+//! paths keep resolving:
 //!
-//! * [`MultiCoreSystem`] — N cores interleaved by next-event time: a
-//!   min-heap over each sleeping core's memoized wake-up bound steps
-//!   only due cores, and jumps the global clock when every core is
-//!   asleep — the shard scheduler of `secddr-channels`, one layer up.
-//!   Results are bit-identical to per-cycle lock-step, and
-//!   `MultiCoreSystem` with one core is observationally identical to the
-//!   bare `CpuSystem` (pinned by `tests/multicore_differential.rs`).
-//! * [`CoreTrace`] / [`AddressSpace`] — rate-mode trace sharing: N cores
-//!   iterate one reference-counted trace, each relocated into its own
-//!   window of the backend's data span so copies cannot alias in the
-//!   shared LLC or the engine metadata.
+//! * [`MultiCoreSystem`] — N cores over one shared LLC and one shared
+//!   [`cpu_model::MemoryBackend`], interleaved by next-event time and
+//!   bit-identical to per-cycle lock-step.
 //! * [`MultiCoreResult`] — per-core [`cpu_model::SimResult`]s plus the
 //!   merged aggregate and the rate-mode metrics (aggregate IPC, weighted
 //!   speedup).
+//! * [`WakeReasons`] — the scheduler's wake-reason attribution.
+//!
+//! This crate's own part is [`CoreTrace`] / [`AddressSpace`]: rate-mode
+//! trace sharing, where N cores iterate one reference-counted trace, each
+//! relocated into its own window of the backend's data span so copies
+//! cannot alias in the shared LLC or the engine metadata.
 //!
 //! Cores × channels compose through the one backend seam:
 //! `MultiCoreSystem<ShardedEngine>` works unchanged.
@@ -45,11 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod series;
-mod system;
-mod telemetry;
 mod trace;
 
-pub use system::{MultiCoreResult, MultiCoreSystem};
-pub use telemetry::WakeReasons;
+pub use cpu_model::{MultiCoreResult, MultiCoreSystem, WakeReasons};
 pub use trace::{AddressSpace, CoreTrace};

@@ -3,11 +3,10 @@
 //!
 //! One submitted spec becomes one pool job that runs its benchmark ×
 //! configuration cells in order, emitting an event as each cell
-//! completes. The execution paths are exactly the library's own —
-//! [`run_trace_with_options`] for the 1-core/1-channel shape,
-//! `CpuSystem` over [`ShardedEngine`] for multi-channel, and
-//! [`MultiCoreSystem`] rate mode for multi-core — so service results are
-//! bit-identical to direct calls (pinned by
+//! completes. Every machine shape runs one path: [`MultiCoreSystem`]
+//! rate mode over a [`ShardedEngine`], which at one core and one channel
+//! is bit-identical to `run_trace_with_options`, so service results
+//! match direct library calls (pinned by
 //! `tests/service_differential.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,11 +14,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cpu_model::{CpuSystem, SimResult};
+use cpu_model::SimResult;
 use secddr_channels::ShardedEngine;
 use secddr_core::engine::EngineStats;
 use secddr_core::metadata::DATA_SPAN;
-use secddr_core::system::run_trace_with_options;
 use secddr_multicore::{CoreTrace, MultiCoreSystem};
 use secddr_telemetry::{Registry, SeriesSnapshot, TelemetrySnapshot};
 use workloads::{Benchmark, TraceCacheStats};
@@ -426,9 +424,9 @@ impl ExperimentService {
     }
 
     /// The merged sim-time series a job recorded (specs with a nonzero
-    /// `epoch_width` on a multi-channel or multi-core shape), available
-    /// once the job is terminal. `None` for unknown jobs, jobs still
-    /// running, and jobs that recorded nothing.
+    /// `epoch_width`, any machine shape), available once the job is
+    /// terminal. `None` for unknown jobs, jobs still running, and jobs
+    /// that recorded nothing.
     #[must_use]
     pub fn job_series(&self, id: JobId) -> Option<SeriesSnapshot> {
         self.series
@@ -556,59 +554,42 @@ fn run_job(
 }
 
 /// Runs one benchmark × configuration cell with the spec's machine
-/// shape. Traces come from [`Benchmark::generate_shared`], so a repeated
-/// spec hits the warm in-process cache while its trace is among the
+/// shape: `spec.cores` rate-mode copies of the trace over a
+/// `spec.channels`-way [`ShardedEngine`]. Traces come from
+/// [`Benchmark::generate_shared`], so a repeated spec hits the warm
+/// in-process cache while its trace is among the
 /// [`workloads::TRACE_MEMO_CAPACITY`] most recently used ones (older
 /// traces and restarts hit the disk tier).
 ///
-/// When the spec set a nonzero `epoch_width` the sharded and multi-core
-/// shapes also return the cell's sim-time series (scheduler and channel
-/// layers merged). The bare 1-core/1-channel path stays exactly
-/// `run_trace_with_options` — results bit-identical to direct calls
-/// outweigh series coverage there, so it records nothing.
+/// When the spec set a nonzero `epoch_width` the cell also returns its
+/// sim-time series (scheduler and channel layers merged), whatever the
+/// shape.
 fn run_cell(
     bench: &Benchmark,
     config: &secddr_core::config::SecurityConfig,
     spec: &JobSpec,
 ) -> (CellResult, Option<SeriesSnapshot>) {
     let trace = bench.generate_shared(spec.instructions, spec.seed);
-    let options = spec.options;
     let cpu_cfg = spec.cpu_config();
-    let (per_core, engine, series) = if spec.cores == 1 && spec.channels == 1 {
-        let r = run_trace_with_options(bench, &trace, config, options);
-        (vec![r.sim], r.engine, None)
-    } else if spec.cores == 1 {
-        let mut engine =
-            ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), options);
-        if spec.epoch_width > 0 {
-            engine.enable_series(spec.epoch_width);
-        }
-        let mut sys = CpuSystem::new(cpu_cfg, engine);
-        let sim = sys.run(trace.iter().copied());
-        let series = sys.backend_mut().series_snapshot();
-        (vec![sim], sys.backend_mut().stats(), series)
-    } else {
-        let mut engine =
-            ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), options);
-        if spec.epoch_width > 0 {
-            engine.enable_series(spec.epoch_width);
-        }
-        let mut sys = MultiCoreSystem::new(spec.cores, cpu_cfg, engine);
-        if spec.epoch_width > 0 {
-            sys.enable_series(spec.epoch_width);
-        }
-        let result = sys.run(CoreTrace::rate(&trace, DATA_SPAN, spec.cores));
-        let mut series = sys.backend_mut().series_snapshot();
-        if let (Some(series), Some(scheduler)) = (&mut series, sys.series_snapshot()) {
-            series.merge(&scheduler);
-        }
-        (result.per_core, sys.backend_mut().stats(), series)
-    };
+    let mut engine =
+        ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), spec.options);
+    if spec.epoch_width > 0 {
+        engine.enable_series(spec.epoch_width);
+    }
+    let mut sys = MultiCoreSystem::new(spec.cores, cpu_cfg, engine);
+    if spec.epoch_width > 0 {
+        sys.enable_series(spec.epoch_width);
+    }
+    let run = sys.run(CoreTrace::rate(&trace, DATA_SPAN, spec.cores));
+    let mut series = sys.backend_mut().series_snapshot();
+    if let (Some(series), Some(scheduler)) = (&mut series, sys.series_snapshot()) {
+        series.merge(&scheduler);
+    }
     let result = CellResult {
         benchmark: bench.name().to_string(),
         config: config.label(),
-        per_core,
-        engine,
+        per_core: run.per_core,
+        engine: sys.backend_mut().stats(),
     };
     (result, series)
 }
@@ -722,17 +703,26 @@ mod tests {
     #[test]
     fn series_specs_store_a_fetchable_job_series() {
         let service = ExperimentService::with_threads(1);
-        let mut spec = tiny_spec("mcf");
-        spec.cores = 2;
-        spec.channels = 2;
-        spec.epoch_width = 2_048;
-        let handle = service.submit(spec).unwrap();
-        let id = handle.id();
-        assert!(handle.wait().finished());
-        let series = service.job_series(id).expect("recorded series stored");
-        assert_eq!(series.epoch_width, 2_048);
-        assert!(series.row_total("dram.decisions_total") > 0);
-        assert!(series.row_total("multicore.core.steps") > 0);
+        // Every shape records, the 1-core/1-channel one included.
+        for (cores, channels) in [(2, 2), (1, 1)] {
+            let mut spec = tiny_spec("mcf");
+            spec.cores = cores;
+            spec.channels = channels;
+            spec.epoch_width = 2_048;
+            let handle = service.submit(spec).unwrap();
+            let id = handle.id();
+            assert!(handle.wait().finished());
+            let series = service.job_series(id).expect("recorded series stored");
+            assert_eq!(series.epoch_width, 2_048);
+            assert!(
+                series.row_total("dram.decisions_total") > 0,
+                "{cores}x{channels}"
+            );
+            assert!(
+                series.row_total("multicore.core.steps") > 0,
+                "{cores}x{channels}"
+            );
+        }
         // Jobs without an epoch width store nothing.
         let plain = service.submit(tiny_spec("mcf")).unwrap();
         let plain_id = plain.id();

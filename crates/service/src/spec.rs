@@ -40,10 +40,11 @@ pub struct JobSpec {
     pub configs: Vec<SecurityConfig>,
     /// Engine ablation knobs and the clock-advance policy.
     pub options: EngineOptions,
-    /// Core count (1 = the bare `CpuSystem`; >1 = rate mode over a
-    /// shared LLC and backend).
+    /// Core count: rate-mode copies of the trace over one shared LLC
+    /// and backend (1 = a single core, bit-identical to `CpuSystem`).
     pub cores: usize,
-    /// Memory channel count (1 = the bare engine; >1 = `ShardedEngine`).
+    /// Memory channel count: the ways of the `ShardedEngine` the cores
+    /// share (1 = bit-identical to the bare engine).
     pub channels: usize,
     /// Instruction budget per benchmark (per core in rate mode).
     pub instructions: u64,
@@ -53,8 +54,7 @@ pub struct JobSpec {
     pub priority: i8,
     /// Sim-time series epoch width in CPU cycles; 0 disables series
     /// recording (the default — recording stores per-job series the
-    /// `series` endpoint serves). Only the sharded and multi-core
-    /// shapes record; the bare 1-core/1-channel path has no series.
+    /// `series` endpoint serves). Every machine shape records.
     pub epoch_width: u64,
 }
 

@@ -193,7 +193,8 @@ pub mod strategy {
     impl_tuple_strategy!(A, B, C, D, E);
     impl_tuple_strategy!(A, B, C, D, E, F);
 
-    /// Equal-weight union over boxed strategies (built by [`prop_oneof!`]).
+    /// Equal-weight union over boxed strategies (built by
+    /// [`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
     }

@@ -13,7 +13,7 @@
 //!   counter structs the hot simulation layers keep (those stay plain
 //!   `u64`s owned by the simulator so instrumentation is provably
 //!   non-perturbing and per-run isolated; see `dram_sim`'s
-//!   `ControllerTelemetry` and `secddr_multicore`'s `WakeReasons`);
+//!   `ControllerTelemetry` and `cpu_model`'s `WakeReasons`);
 //! * an opt-in [`TraceSink`] ring buffer of timestamped [`Span`]s plus
 //!   the [`chrome_trace`] exporter that renders a captured buffer as a
 //!   `chrome://tracing`-loadable timeline (one track per

@@ -3,7 +3,7 @@
 //! This crate re-exports the whole workspace so examples, integration
 //! tests, and downstream users can depend on a single crate:
 //!
-//! * [`core`](secddr_core) — security engines, full-system simulator,
+//! * [`core`] — security engines, full-system simulator,
 //!   security analysis (the paper's contribution).
 //! * [`functional`] — byte-accurate protocol model: E-MAC channel, eWCRC,
 //!   attacker interposers, attestation.

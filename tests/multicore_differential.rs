@@ -7,9 +7,11 @@
 //!   policies, and over both the bare `SecurityEngine` and a
 //!   `ShardedEngine` backend (mirroring `tests/sharded_differential.rs`
 //!   one layer up);
-//! * at N > 1, the event-driven core scheduler (min-heap over per-core
+//! * at every N, the event-driven core scheduler (min-heap over per-core
 //!   wake bounds, global jump when all cores sleep) must be bit-identical
-//!   to per-cycle lock-step where every core steps every cycle;
+//!   to per-cycle lock-step where every core steps every cycle. Since
+//!   `CpuSystem` is the scheduler's one-core view, the N = 1 cases of
+//!   these pins are the independent single-core oracle;
 //! * the per-core shares of the shared LLC statistics must sum to the
 //!   LLC's own totals.
 
@@ -149,8 +151,8 @@ proptest! {
 
     /// One-core `MultiCoreSystem` over the bare engine answers a random
     /// trace stream with the exact `SimResult`, engine statistics, and
-    /// DRAM statistics of the monolithic `CpuSystem`, under both advance
-    /// policies.
+    /// DRAM statistics of `CpuSystem`, under both advance policies (a
+    /// smoke pin: `CpuSystem` is the scheduler's one-core view).
     #[test]
     fn single_core_matches_cpusystem_bare(
         ops in proptest::collection::vec(
@@ -188,7 +190,10 @@ proptest! {
     }
 
     /// The event-driven core scheduler is bit-identical to per-cycle
-    /// lock-step at N > 1 (heterogeneous random traces, bare engine).
+    /// lock-step at N = 1 and N = 2 (heterogeneous random traces, bare
+    /// engine). `CpuSystem` is the scheduler's one-core view, so the
+    /// N = 1 case is the single-core pin that does not compare the
+    /// scheduler with itself.
     #[test]
     fn event_driven_scheduler_matches_per_cycle(
         ops_a in proptest::collection::vec(
@@ -199,15 +204,40 @@ proptest! {
             (0u64..5, 0u64..(1u64 << 32), 1u64..50),
             1..30,
         ),
+        cores in 1usize..=2,
     ) {
         let traces = [decode(&ops_a), decode(&ops_b)];
         let run = |advance: Advance| {
             let engine = SecurityEngine::with_options(
                 SecurityConfig::secddr_ctr(), CPU_MHZ, options(advance),
             );
-            let mut sys = MultiCoreSystem::new(2, cpu_cfg(advance), engine);
-            let result = sys.run(traces.iter().map(|t| t.iter().copied()).collect());
+            let mut sys = MultiCoreSystem::new(cores, cpu_cfg(advance), engine);
+            let result = sys.run(traces[..cores].iter().map(|t| t.iter().copied()).collect());
             (result, sys.backend().stats(), sys.backend().dram_stats())
+        };
+        prop_assert_eq!(run(Advance::ToNextEvent), run(Advance::PerCycle));
+    }
+
+    /// The same single-core pin through a two-way `ShardedEngine`: one
+    /// core over interleaved channels, event-driven ≡ per-cycle.
+    #[test]
+    fn single_core_sharded_scheduler_matches_per_cycle(
+        ops in proptest::collection::vec(
+            (0u64..5, 0u64..(1u64 << 32), 1u64..50),
+            1..40,
+        ),
+    ) {
+        let trace = decode(&ops);
+        let run = |advance: Advance| {
+            let engine = ShardedEngine::with_options(
+                SecurityConfig::secddr_ctr(),
+                CPU_MHZ,
+                Interleave::xor(2),
+                options(advance),
+            );
+            let mut sys = MultiCoreSystem::new(1, cpu_cfg(advance), engine);
+            let result = sys.run(vec![trace.iter().copied()]);
+            (result, sys.backend_mut().stats(), sys.backend_mut().dram_stats())
         };
         prop_assert_eq!(run(Advance::ToNextEvent), run(Advance::PerCycle));
     }
