@@ -6,10 +6,7 @@
 //! `SECDDR_INSTRS=2000000 cargo run --release -p secddr-bench --bin fig6_performance`
 
 fn main() {
-    let budget = std::env::var("SECDDR_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120_000);
+    let budget = secddr_bench::env_u64("SECDDR_INSTRS", 120_000);
     let seed = secddr_bench::seed();
 
     secddr_bench::tab1_config::run();

@@ -823,10 +823,7 @@ pub fn report(instructions: u64, seed: u64) -> String {
 /// Runs the baseline and writes `BENCH_kernel.json` into the current
 /// directory (the workspace root under `cargo run`).
 pub fn run() {
-    let instructions = std::env::var("SECDDR_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40_000);
+    let instructions = crate::env_u64("SECDDR_INSTRS", 40_000);
     let json = report(instructions, crate::seed());
     print!("{json}");
     match std::fs::write("BENCH_kernel.json", &json) {

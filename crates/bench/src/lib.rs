@@ -13,6 +13,10 @@
 //!   300,000; the paper simulates 200M-instruction SimPoints — larger
 //!   budgets sharpen the numbers at proportional runtime).
 //! * `SECDDR_SEED` — trace generation seed (default 0xD5).
+//!
+//!   Both are read by [`env_u64`]: a value that is not a decimal `u64`
+//!   (e.g. `5k`) panics with the variable name rather than running the
+//!   default.
 //! * `SECDDR_BENCH` — comma-separated benchmark filter (default: all 29).
 //!   An unknown name or an empty selection panics with the valid names
 //!   ([`selected_benchmarks`]).
@@ -34,19 +38,45 @@ pub mod tab1_config;
 pub mod tab2_power;
 
 /// Instruction budget from `SECDDR_INSTRS` (default 300k).
+///
+/// # Panics
+///
+/// Panics when `SECDDR_INSTRS` is set but unparseable ([`env_u64`]).
 pub fn instr_budget() -> u64 {
-    std::env::var("SECDDR_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000)
+    env_u64("SECDDR_INSTRS", 300_000)
 }
 
 /// Seed from `SECDDR_SEED` (default 0xD5).
+///
+/// # Panics
+///
+/// Panics when `SECDDR_SEED` is set but unparseable ([`env_u64`]).
 pub fn seed() -> u64 {
-    std::env::var("SECDDR_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xD5)
+    env_u64("SECDDR_SEED", 0xD5)
+}
+
+/// The `u64` knob in environment variable `name`, or `default` when it
+/// is unset.
+///
+/// # Panics
+///
+/// Panics with the variable's name and value when it is set but is not
+/// a decimal `u64` (e.g. `5k`), instead of silently running the default.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_env_u64(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses an optional knob value (`None` = unset) into a `u64`.
+///
+/// # Errors
+///
+/// Names the variable and its value when the value is not a `u64`.
+fn parse_env_u64(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    value.map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("{name}={v:?} is not an unsigned integer"))
+    })
 }
 
 /// The benchmarks `SECDDR_BENCH` selects, in Figure 6 order (all 29
@@ -133,6 +163,31 @@ mod tests {
         assert!(err.contains("unknown benchmark(s) mfc;"), "{err}");
         assert!(err.contains("valid names: "), "{err}");
         assert!(err.contains("mcf"), "{err}");
+    }
+
+    #[test]
+    fn unset_knob_takes_the_default() {
+        assert_eq!(parse_env_u64("SECDDR_INSTRS", None, 300_000), Ok(300_000));
+    }
+
+    #[test]
+    fn valid_knob_overrides_the_default() {
+        assert_eq!(
+            parse_env_u64("SECDDR_INSTRS", Some("5000"), 300_000),
+            Ok(5_000)
+        );
+        assert_eq!(parse_env_u64("SECDDR_SEED", Some("0"), 0xD5), Ok(0));
+    }
+
+    #[test]
+    fn unparseable_knob_names_the_variable_and_value() {
+        for value in ["5k", "", "-1", "0x10"] {
+            let err = parse_env_u64("SECDDR_INSTRS", Some(value), 300_000).unwrap_err();
+            assert_eq!(
+                err,
+                format!("SECDDR_INSTRS={value:?} is not an unsigned integer")
+            );
+        }
     }
 
     #[test]

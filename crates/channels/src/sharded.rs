@@ -10,15 +10,18 @@
 //! The top-level advance is event-driven: each shard registers its
 //! memoized [`MemoryBackend::next_event`] lower bound in a min-heap
 //! ([`sim_kernel::EventQueue`] with lazy staleness filtering), and
-//! [`MemoryBackend::tick`] steps **only the shards whose bound is due**.
-//! A shard whose bound is in the future provably has nothing observable
-//! to report (the bound contract `CpuSystem` already relies on), so its
-//! channel clock is left lagging and caught up wholesale on its next
-//! interaction — the per-shard idle windows that grow with N are skipped
-//! at the top level instead of being re-proven per shard per cycle.
+//! [`MemoryBackend::advance_to`] steps **only the shards whose bound is
+//! due** within the window. A shard whose bound is past the window
+//! provably has nothing observable to report (the bound contract the
+//! core scheduler already relies on), so its channel clock is left
+//! lagging and caught up wholesale on its next interaction — the
+//! per-shard idle windows that grow with N are skipped at the top level
+//! instead of being re-proven per shard per cycle. Under
+//! [`Advance::PerCycle`] every shard advances on every call instead:
+//! that branch is the reference the due-shard heap is checked against.
 //! [`ShardedEngine::sync`] catches every shard up to the last observed
 //! CPU cycle, which the statistics accessors do implicitly so merged
-//! stats are bit-comparable with an always-ticked engine.
+//! stats are bit-comparable with an always-advanced engine.
 //!
 //! A lagging shard's wholesale catch-up is itself block-advanced: the
 //! engine's `advance` rides the controller's *decision bound*
@@ -61,13 +64,13 @@ pub struct ShardedEngine {
     /// for lagging shards in [`Self::sync`].
     last_now: u64,
     /// Times each shard was actually stepped (diagnostic for the
-    /// "only due shards tick" property and the scaling benchmarks).
+    /// "only due shards advance" property and the scaling benchmarks).
     shard_ticks: Vec<u64>,
     /// Reusable batch fan-out scratch (one slot per shard).
     split: Vec<Vec<BatchAccess>>,
     split_results: Vec<Vec<Result<u64, Busy>>>,
     cursors: Vec<usize>,
-    /// Scratch list of shards due in the current tick.
+    /// Scratch list of shards due in the current advance.
     due_now: Vec<usize>,
     /// Reusable `(cycle, local token)` buffer for per-shard block
     /// advances.
@@ -152,8 +155,8 @@ impl ShardedEngine {
     }
 
     /// How many times each shard was actually stepped by
-    /// [`MemoryBackend::tick`] — idle shards stay at zero because they
-    /// never enter the wake-up heap.
+    /// [`MemoryBackend::advance_to`] — idle shards stay at zero because
+    /// they never enter the wake-up heap.
     #[must_use]
     pub fn shard_tick_counts(&self) -> &[u64] {
         &self.shard_ticks
@@ -163,9 +166,9 @@ impl ShardedEngine {
     /// cycle observed on this backend.
     ///
     /// Completions harvested during the catch-up stay scheduled inside
-    /// the shard and surface on the next [`MemoryBackend::tick`] exactly
-    /// as they would have without the lag (the skipped ticks were
-    /// provably observation-free), so syncing is safe at any point.
+    /// the shard and surface on the next [`MemoryBackend::advance_to`]
+    /// exactly as they would have without the lag (the skipped cycles
+    /// were provably observation-free), so syncing is safe at any point.
     pub fn sync(&mut self) {
         let now = self.last_now;
         for shard in &mut self.shards {
@@ -262,11 +265,11 @@ impl ShardedEngine {
 
     /// Records shard `s` having advanced its window up to `end` on its
     /// trace track (no-op unless [`Self::enable_trace`] was called).
-    fn trace_step(&mut self, s: usize, name: &'static str, end: u64) {
+    fn trace_step(&mut self, s: usize, end: u64) {
         if let Some(sink) = &mut self.trace {
             let start = self.trace_mark[s].min(end);
             #[allow(clippy::cast_possible_truncation)]
-            sink.record(s as u32, name, start, end);
+            sink.record(s as u32, "advance", start, end);
             self.trace_mark[s] = end;
         }
     }
@@ -305,25 +308,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Steps shard `s` to `now`, translating its completions to global
-    /// tokens, and re-registers its bound.
-    fn tick_shard(&mut self, s: usize, now: u64, done: &mut Vec<u64>) {
-        self.shard_ticks[s] += 1;
-        self.trace_step(s, "tick", now);
-        for local in self.shards[s].tick(now) {
-            let global = self.local_to_global[s]
-                .remove(&local)
-                .expect("completed read was registered at submit");
-            done.push(global);
-        }
-        self.refresh_bound(s, now);
-    }
-
     /// Block-advances shard `s` to `target`, translating its stamped
     /// completions to global tokens, and re-registers its bound.
     fn advance_shard_to(&mut self, s: usize, target: u64, out: &mut Vec<(u64, u64)>) {
         self.shard_ticks[s] += 1;
-        self.trace_step(s, "advance", target);
+        self.trace_step(s, target);
         let mut scratch = std::mem::take(&mut self.stamp_scratch);
         scratch.clear();
         self.shards[s].advance_to(target, &mut scratch);
@@ -449,46 +438,17 @@ impl MemoryBackend for ShardedEngine {
         }
     }
 
-    fn tick(&mut self, now: u64) -> Vec<u64> {
-        self.last_now = self.last_now.max(now);
-        let mut done = Vec::new();
-        if self.advance.is_event_driven() {
-            // Step only the shards whose registered bound is due; the
-            // rest provably have nothing to report and keep lagging.
-            // Due shards are stepped in shard-index order so the merged
-            // completion order is a function of the simulated state, not
-            // of heap insertion history (batched and per-call ingestion
-            // register bounds in different orders but must stay
-            // observationally identical).
-            let mut due_now = std::mem::take(&mut self.due_now);
-            due_now.clear();
-            while let Some((at, s)) = self.due.pop_due(now) {
-                if self.bounds[s] != at {
-                    continue; // stale entry superseded by an earlier bound
-                }
-                self.bounds[s] = u64::MAX;
-                due_now.push(s);
-            }
-            due_now.sort_unstable();
-            for &s in &due_now {
-                self.tick_shard(s, now, &mut done);
-            }
-            self.due_now = due_now;
-        } else {
-            // Per-cycle reference semantics: every shard steps every call.
-            for s in 0..self.shards.len() {
-                self.tick_shard(s, now, &mut done);
-            }
-        }
-        done
-    }
-
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
         self.last_now = self.last_now.max(target);
         let start = completions.len();
         if self.advance.is_event_driven() {
-            // Same due-shard discipline as `tick`: shards whose bound is
-            // after `target` provably surface nothing in the window.
+            // Step only the shards whose registered bound is due; the
+            // rest provably surface nothing in the window and keep
+            // lagging. Due shards are stepped in shard-index order so the
+            // merged completion order is a function of the simulated
+            // state, not of heap insertion history (batched and per-call
+            // ingestion register bounds in different orders but must
+            // stay observationally identical).
             let mut due_now = std::mem::take(&mut self.due_now);
             due_now.clear();
             while let Some((at, s)) = self.due.pop_due(target) {
@@ -504,14 +464,15 @@ impl MemoryBackend for ShardedEngine {
             }
             self.due_now = due_now;
         } else {
+            // Per-cycle reference semantics: every shard steps every call.
             for s in 0..self.shards.len() {
                 self.advance_shard_to(s, target, completions);
             }
         }
         // Shards were advanced in ascending index order; the stable sort
         // re-merges their streams by cycle while keeping shard-index
-        // order within a cycle — exactly what a per-cycle tick loop over
-        // all shards would have produced.
+        // order within a cycle — exactly what advancing all shards one
+        // cycle at a time would have produced.
         completions[start..].sort_by_key(|&(at, _)| at);
     }
 

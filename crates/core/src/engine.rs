@@ -308,13 +308,13 @@ impl SecurityEngine {
 
     /// Advances the engine's channel to CPU cycle `now` without
     /// harvesting completed tokens — they stay scheduled in the ready
-    /// queue for the next [`MemoryBackend::tick`].
+    /// queue for the next [`MemoryBackend::advance_to`].
     ///
-    /// A multi-channel front-end that skipped this engine's ticks while
-    /// its [`MemoryBackend::next_event`] bound was in the future (so the
-    /// skipped ticks were provably observation-free) uses this to catch
+    /// A multi-channel front-end that left this engine lagging while its
+    /// [`MemoryBackend::next_event`] bound was in the future (so the
+    /// skipped cycles were provably observation-free) uses this to catch
     /// a lagging shard up before reading its statistics; the deferred
-    /// catch-up is cycle-identical to having ticked every step.
+    /// catch-up is cycle-identical to having advanced every cycle.
     pub fn sync_to(&mut self, now: u64) {
         let mem_due = self.mem_cycle_for(now);
         self.advance(mem_due);
@@ -720,21 +720,11 @@ impl MemoryBackend for SecurityEngine {
         }
     }
 
-    fn tick(&mut self, now: u64) -> Vec<u64> {
-        let mem_due = self.mem_cycle_for(now);
-        self.advance(mem_due);
-        let mut done = Vec::new();
-        while let Some((_, token)) = self.ready.pop_due(now) {
-            done.push(token);
-        }
-        done
-    }
-
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
         // One channel catch-up for the whole window (the [`Self::sync_to`]
         // idiom), then drain the ready queue with its visibility stamps —
         // `ready` pops in (cycle, insertion) order, which is exactly the
-        // order a per-cycle tick loop would have delivered.
+        // order a cycle-at-a-time advance would have delivered.
         let mem_due = self.mem_cycle_for(target);
         self.advance(mem_due);
         while let Some((at, token)) = self.ready.pop_due(target) {
@@ -748,7 +738,7 @@ impl MemoryBackend for SecurityEngine {
         // (unblocking Busy submits and writeback retries); bound it by
         // the channel's next possible activity. Pure refresh upkeep on an
         // idle channel is invisible to the CPU and is caught up on the
-        // next tick, so it adds no bound here.
+        // next advance, so it adds no bound here.
         if !self.dram.is_idle() {
             // Decision cycles are the only cycles where a command issues
             // or a completion pops — i.e. the only cycles queue space can

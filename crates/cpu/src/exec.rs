@@ -431,7 +431,7 @@ impl CoreEngine {
     /// phases — the probe folds DRAM state and must pay for itself
     /// (wall-clock only, never simulated results).
     pub fn sleep_plan<B: MemoryBackend>(&mut self, now: u64, backend: &B) -> SleepPlan {
-        if !self.cfg.advance.is_event_driven() || !self.dispatch_idle() {
+        if !self.dispatch_idle() {
             return SleepPlan::Run;
         }
         let retire = self.rob.next_retire_at();

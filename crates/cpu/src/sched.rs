@@ -43,7 +43,7 @@
 //! all-asleep windows nothing submits, so every registered bound stays
 //! valid and the global jump is sound. Results are bit-identical to
 //! [`sim_kernel::Advance::PerCycle`], where every core steps every cycle
-//! against a backend ticked every cycle.
+//! against a backend advanced one cycle at a time.
 //!
 //! The backend side of each jump is block-advanced too: the DDR4
 //! controllers ride their exact *decision bound*
@@ -136,7 +136,7 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
         }
     }
 
-    fn tick(&mut self, _now: u64) -> Vec<u64> {
+    fn advance_to(&mut self, _target: u64, _completions: &mut Vec<(u64, u64)>) {
         unreachable!("cores never advance the shared backend; the scheduler does")
     }
 
@@ -367,9 +367,10 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
         }
     }
 
-    /// The per-cycle reference: every cycle the backend ticks once and
-    /// every unfinished core steps, in core-index order. This is the
-    /// semantics the event-driven scheduler must reproduce bit for bit.
+    /// The per-cycle reference: every cycle the backend advances by one
+    /// cycle and every unfinished core steps, in core-index order. This
+    /// is the semantics the event-driven scheduler must reproduce bit for
+    /// bit.
     fn run_per_cycle<T: Iterator<Item = TraceOp>>(&mut self, traces: &mut [T]) {
         let n = self.cores.len();
         let Self {
@@ -384,6 +385,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             ..
         } = self;
         let mut routed: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut stamps: Vec<(u64, u64)> = Vec::new();
         loop {
             let now = clock.tick();
             if let Some(series) = series.as_mut() {
@@ -392,7 +394,9 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             for v in &mut routed {
                 v.clear();
             }
-            for token in backend.tick(now) {
+            stamps.clear();
+            backend.advance_to(now, &mut stamps);
+            for &(_, token) in &stamps {
                 if let Some(core) = take_owner(token_owner, token) {
                     routed[core].push(token);
                 }

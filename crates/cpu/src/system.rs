@@ -52,9 +52,10 @@ impl std::error::Error for Busy {}
 /// evaluated configuration adds (integrity tree walks, counter fetches,
 /// E-MAC pads, InvisiMem channel MACs...).
 ///
-/// Implementations assign tokens to accepted reads; [`Self::tick`] advances
-/// backend time to the given CPU cycle and reports which read tokens
-/// completed (writes complete silently).
+/// Implementations assign tokens to accepted reads; [`Self::advance_to`]
+/// — the one clock a backend implements — advances backend time to the
+/// given CPU cycle and reports which read tokens completed, stamped with
+/// the cycle each became visible (writes complete silently).
 ///
 /// Tokens are allocated as a dense ascending sequence starting at zero —
 /// one per accepted submission, reads and writes alike. Front-ends rely
@@ -93,30 +94,27 @@ pub trait MemoryBackend {
         }
     }
 
-    /// Advances to CPU cycle `now`; returns completed read tokens.
-    fn tick(&mut self, now: u64) -> Vec<u64>;
-
     /// Advances to CPU cycle `target` in one call, appending every read
     /// completion that became visible in the advanced window to
-    /// `completions` as `(visible_cycle, token)` pairs, in exactly the
-    /// order a per-cycle [`Self::tick`] loop would have delivered them
-    /// (ascending cycle; same-cycle completions in the tick's own order).
+    /// `completions` as `(visible_cycle, token)` pairs: ascending cycle,
+    /// same-cycle completions in the backend's own order. Advancing
+    /// through a window in one call or one cycle at a time delivers the
+    /// same sequence.
     ///
-    /// This is the block-advance seam for next-event schedulers: instead
-    /// of one `tick` per simulated cycle, the backend is touched once per
-    /// *observable* event. The call is sound at any `target`; the stamps
+    /// This is the block-advance seam for next-event schedulers: the
+    /// backend is touched once per *observable* event rather than once
+    /// per simulated cycle. The call is sound at any `target`; the stamps
     /// tell the caller which cycle each completion belongs to. A caller
     /// that never advances past [`Self::next_completion_event`] without
     /// harvesting will only ever see stamps equal to its current cycle.
-    ///
-    /// The default implementation delegates to `tick(target)` and stamps
-    /// every token at `target` — exact for such disciplined callers
-    /// (under the default per-cycle bounds the backend is harvested
-    /// every cycle, where `tick`'s semantics are already exact).
-    fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
-        for token in self.tick(target) {
-            completions.push((target, token));
-        }
+    fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>);
+
+    /// Advances to CPU cycle `now` and returns the completed read tokens
+    /// without their stamps: [`Self::advance_to`]`(now)` in a `Vec`.
+    fn tick(&mut self, now: u64) -> Vec<u64> {
+        let mut stamps = Vec::new();
+        self.advance_to(now, &mut stamps);
+        stamps.into_iter().map(|(_, token)| token).collect()
     }
 
     /// Lower bound on the next CPU cycle at which this backend's
@@ -132,8 +130,8 @@ pub trait MemoryBackend {
         Some(now + 1)
     }
 
-    /// Lower bound on the next CPU cycle at which [`Self::tick`] could
-    /// return a completed read token.
+    /// Lower bound on the next CPU cycle at which [`Self::advance_to`]
+    /// could deliver a completed read token.
     ///
     /// Callers that are only waiting on completions (no writeback or
     /// submission blocked on [`Busy`]) may sleep to this bound instead of
@@ -192,14 +190,6 @@ impl MemoryBackend for FixedLatencyBackend {
             self.in_flight.push(now + self.latency, token);
         }
         Ok(token)
-    }
-
-    fn tick(&mut self, now: u64) -> Vec<u64> {
-        let mut done = Vec::new();
-        while let Some((_, token)) = self.in_flight.pop_due(now) {
-            done.push(token);
-        }
-        done
     }
 
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
@@ -465,11 +455,11 @@ mod tests {
                 }
                 Ok(t)
             }
-            fn tick(&mut self, now: u64) -> Vec<u64> {
+            fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
                 let (done, rest): (Vec<_>, Vec<_>) =
-                    self.inner.iter().partition(|(f, _)| *f <= now);
+                    self.inner.iter().partition(|(f, _)| *f <= target);
                 self.inner = rest;
-                done.into_iter().map(|(_, t)| t).collect()
+                completions.extend(done);
             }
         }
         let trace = vec![TraceOp::Load(0x1234000), TraceOp::Load(0x1234008)];

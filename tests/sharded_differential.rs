@@ -8,7 +8,9 @@
 //! * across shard counts, data traffic is conserved: every access lands
 //!   on exactly one shard, so per-shard data reads/writes sum to the
 //!   unsharded counts for the same input;
-//! * the sharded batched ingestion path matches per-call submission.
+//! * the sharded batched ingestion path matches per-call submission;
+//! * one windowed advance delivers the same completions, in the same
+//!   cycle order, as advancing every cycle of the window.
 
 use proptest::prelude::*;
 use secddr::channels::{Interleave, ShardedEngine};
@@ -109,6 +111,45 @@ proptest! {
         }
         prop_assert_eq!(per_call.stats(), batched.stats());
         prop_assert_eq!(per_call.dram_stats(), batched.dram_stats());
+    }
+
+    /// A windowed `tick(now + w)` returns exactly the concatenation of
+    /// `tick(c)` over every cycle `c` of the window: tokens in cycle
+    /// order (shard-index order within a cycle), never grouped by shard.
+    #[test]
+    fn window_tick_matches_per_cycle_ticks(
+        accesses in proptest::collection::vec(
+            (any::<bool>(), 0u64..(1u64 << 32), any::<bool>()),
+            1..32,
+        ),
+        window in 1u64..600,
+    ) {
+        let build = || ShardedEngine::new(
+            SecurityConfig::secddr_ctr(), CPU_MHZ, Interleave::modulo(3),
+        );
+        let mut windowed = build();
+        let mut stepped = build();
+        let mut now = 100u64;
+        let windows = accesses
+            .chunks(5)
+            .map(Some)
+            .chain(std::iter::repeat_n(None, 8));
+        for chunk in windows {
+            for &(read, addr, pf) in chunk.unwrap_or_default() {
+                let kind = if read { AccessKind::Read } else { AccessKind::Write };
+                let addr = addr & !63;
+                prop_assert_eq!(
+                    windowed.submit(kind, addr, now, pf),
+                    stepped.submit(kind, addr, now, pf),
+                );
+            }
+            let end = now + window;
+            let per_cycle: Vec<u64> = (now + 1..=end).flat_map(|c| stepped.tick(c)).collect();
+            prop_assert_eq!(windowed.tick(end), per_cycle, "window ending at {}", end);
+            now = end;
+        }
+        prop_assert_eq!(windowed.stats(), stepped.stats());
+        prop_assert_eq!(windowed.dram_stats(), stepped.dram_stats());
     }
 }
 
