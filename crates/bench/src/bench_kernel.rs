@@ -71,7 +71,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cpu_model::system::{AccessKind, BatchAccess, MemoryBackend, SimResult};
-use cpu_model::{CpuConfig, CpuSystem, TraceOp};
+use cpu_model::{CpuSystem, TraceOp};
 use dram_sim::{ControllerTelemetry, DramConfig, DramStats, DramSystem, MemRequest, ReqKind};
 use secddr_channels::{Interleave, ShardedEngine};
 use secddr_core::config::SecurityConfig;
@@ -221,11 +221,7 @@ fn sharded_run(
         advance,
         ..EngineOptions::default()
     };
-    let cpu_cfg = CpuConfig {
-        advance,
-        batch_submit: options.batched_ingestion,
-        ..CpuConfig::default()
-    };
+    let cpu_cfg = options.cpu_config();
     let start = Instant::now();
     let mut engine = ShardedEngine::with_options(
         SecurityConfig::secddr_ctr(),
@@ -363,11 +359,7 @@ fn multicore_run(
         advance,
         ..EngineOptions::default()
     };
-    let cpu_cfg = CpuConfig {
-        advance,
-        batch_submit: options.batched_ingestion,
-        ..CpuConfig::default()
-    };
+    let cpu_cfg = options.cpu_config();
     let start = Instant::now();
     let mut engine = ShardedEngine::with_options(
         SecurityConfig::secddr_ctr(),
@@ -423,10 +415,7 @@ fn multicore_records(params: RunParams) -> Vec<Record> {
     // options).
     let single = {
         let options = EngineOptions::default();
-        let cpu_cfg = CpuConfig {
-            batch_submit: options.batched_ingestion,
-            ..CpuConfig::default()
-        };
+        let cpu_cfg = options.cpu_config();
         let engine = ShardedEngine::with_options(
             SecurityConfig::secddr_ctr(),
             cpu_cfg.clock_mhz,

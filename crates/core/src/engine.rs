@@ -15,6 +15,7 @@ use std::rc::Rc;
 
 use cpu_model::cache::{Cache, CacheConfig, CacheStats};
 use cpu_model::system::{AccessKind, Busy, MemoryBackend};
+use cpu_model::CpuConfig;
 use dram_sim::{DramSystem, MemRequest, ReqKind};
 use sim_kernel::{Advance, EventQueue};
 
@@ -119,6 +120,20 @@ impl Default for EngineOptions {
             fcfs: false,
             advance: Advance::ToNextEvent,
             batched_ingestion: true,
+        }
+    }
+}
+
+impl EngineOptions {
+    /// The CPU configuration that runs over an engine with these
+    /// options: Table I geometry with the same clock advance policy and
+    /// ingestion path.
+    #[must_use]
+    pub fn cpu_config(&self) -> CpuConfig {
+        CpuConfig {
+            advance: self.advance,
+            batch_submit: self.batched_ingestion,
+            ..CpuConfig::default()
         }
     }
 }

@@ -1,6 +1,6 @@
 //! One-call experiment runner: benchmark × configuration → IPC.
 
-use cpu_model::{CpuConfig, CpuSystem, SimResult};
+use cpu_model::{CpuSystem, SimResult};
 use sim_kernel::Advance;
 use workloads::Benchmark;
 
@@ -115,11 +115,7 @@ pub fn run_trace_with_options(
     config: &SecurityConfig,
     options: EngineOptions,
 ) -> RunResult {
-    let cpu_cfg = CpuConfig {
-        advance: options.advance,
-        batch_submit: options.batched_ingestion,
-        ..CpuConfig::default()
-    };
+    let cpu_cfg = options.cpu_config();
     let engine = SecurityEngine::with_options(*config, cpu_cfg.clock_mhz, options);
     let mut system = CpuSystem::new(cpu_cfg, engine);
     let sim = system.run(trace.iter().copied());

@@ -205,8 +205,9 @@ impl MemoryBackend for FixedLatencyBackend {
     }
 }
 
-/// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of one simulation run. The default is all zeros, the identity
+/// of [`SimResult::merge`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimResult {
     /// Instructions retired.
     pub instructions: u64,

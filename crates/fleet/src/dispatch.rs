@@ -15,10 +15,17 @@
 //! Requeue-on-death is sound because the simulator is deterministic: a
 //! cell re-run on another worker is proven to produce the bit-identical
 //! payload, so a worker crash mid-cell costs latency, never
-//! correctness. Worker death is detected three ways — reader EOF,
-//! write failure on dispatch, and periodic ping health checks — and
-//! every in-flight cell of a dead worker goes back to the front of the
-//! pending queue.
+//! correctness. Worker death is detected by reader EOF and by a failed
+//! write, whether of a dispatched cell or of the periodic ping. Pongs
+//! are not read, so the ping only catches a link whose write fails, not
+//! a worker that is connected but stuck. Every in-flight cell of a dead
+//! worker goes back to the front of the pending queue.
+//!
+//! Job events are written and read by the service's codec
+//! ([`secddr_service::net`]), and the `finished` summary is the
+//! service's `SimResult::merge` fold over [`cell_merged`]. A worker
+//! terminal line missing any member `secddr-serve` writes is ignored,
+//! like any unknown line.
 //!
 //! All state lives on a single scheduler thread fed by an mpsc channel
 //! (per-worker reader threads, a health-tick thread, and API calls all
@@ -35,7 +42,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use secddr_service::{JobSpec, Json};
+use secddr_service::net::{cell_body, cell_event, cell_merged, event_to_json};
+use secddr_service::{JobEvent, JobId, JobSpec, JobSummary, Json, WireEvent};
 use secddr_telemetry::{Counter, Gauge, Registry};
 
 use crate::joblog::{JobLog, Terminal};
@@ -82,10 +90,10 @@ pub struct WorkerStatus {
 
 /// A submitted job's handle: its id, cell count, and event stream.
 ///
-/// Events are the same line-protocol objects a `secddr-serve` client
-/// sees (`queued`, `started`, `cell`, `finished`/`cancelled`/`failed`),
-/// with this dispatcher's job id. The channel closes after the
-/// terminal event.
+/// Events are the line-protocol objects a `secddr-serve` client sees
+/// (`queued`, `started`, `cell`, `finished`/`cancelled`/`failed`),
+/// built by the service's own codec with this dispatcher's job id. The
+/// channel closes after the terminal event.
 #[derive(Debug)]
 pub struct FleetJobHandle {
     /// Dispatcher-assigned job id.
@@ -163,6 +171,16 @@ struct Job {
     events: Option<mpsc::Sender<Json>>,
     /// Cells emitted so far — events go out strictly in index order.
     next_emit: usize,
+}
+
+impl Job {
+    fn emit(&mut self, event: Json) {
+        if let Some(events) = &self.events {
+            if events.send(event).is_err() {
+                self.events = None; // listener went away; keep running
+            }
+        }
+    }
 }
 
 struct Worker {
@@ -243,32 +261,30 @@ impl Core {
         (*stream).write_all(line.as_bytes())
     }
 
-    fn emit(&mut self, job_id: u64, event: Json) {
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            if let Some(events) = &job.events {
-                if events.send(event).is_err() {
-                    job.events = None; // listener went away; keep running
-                }
-            }
-        }
-    }
-
-    /// Emits a job's terminal `event`, retires the job (dropping it
-    /// closes the event stream and frees its cells), and logs `outcome`.
-    fn terminate(&mut self, job_id: u64, event: Json, outcome: Terminal) {
-        self.emit(job_id, event);
-        let Some(hash) = self.jobs.remove(&job_id).map(|job| job.hash) else {
+    /// Emits a live job's terminal `event` and retires the job (dropping
+    /// it closes the stream). The event decides the job-log outcome, the
+    /// `fleet.jobs.*` counter, and whether in-flight cells are cancelled.
+    fn terminate(&mut self, event: JobEvent) {
+        let job_id = event.job().0;
+        let Some(mut job) = self.jobs.remove(&job_id) else {
             return;
         };
+        let (outcome, counter) = match &event {
+            JobEvent::Finished { .. } => (Terminal::Finished, &self.metrics.jobs_completed),
+            JobEvent::Cancelled { .. } => (Terminal::Cancelled, &self.metrics.jobs_cancelled),
+            _ => (Terminal::Failed, &self.metrics.jobs_failed),
+        };
+        job.emit(event_to_json(&event));
         if let Some(log) = &mut self.log {
             // A failed terminal write costs a redundant (deterministic,
             // store-served) replay on restart — not worth failing the
             // job over.
-            let _ = log.append_terminal(hash, outcome);
+            let _ = log.append_terminal(job.hash, outcome);
         }
-    }
-
-    fn job_done(&mut self) {
+        counter.inc();
+        if outcome != Terminal::Finished {
+            self.cancel_inflight(job_id);
+        }
         if self.jobs.is_empty() {
             for waiter in self.drain_waiters.drain(..) {
                 let _ = waiter.send(());
@@ -330,31 +346,19 @@ impl Core {
                 state,
             });
         }
-        self.jobs.insert(
-            id,
-            Job {
-                hash,
-                total,
-                cells,
-                events,
-                next_emit: 0,
-            },
-        );
-        self.emit(
-            id,
-            Json::Obj(vec![
-                ("type".into(), Json::str("queued")),
-                ("job".into(), Json::u64(id)),
-                ("cells".into(), Json::u64(total as u64)),
-            ]),
-        );
-        self.emit(
-            id,
-            Json::Obj(vec![
-                ("type".into(), Json::str("started")),
-                ("job".into(), Json::u64(id)),
-            ]),
-        );
+        let mut job = Job {
+            hash,
+            total,
+            cells,
+            events,
+            next_emit: 0,
+        };
+        job.emit(event_to_json(&JobEvent::Queued {
+            job: JobId(id),
+            cells: total,
+        }));
+        job.emit(event_to_json(&JobEvent::Started { job: JobId(id) }));
+        self.jobs.insert(id, job);
         for index in pending_cells {
             self.pending.push_back((id, index));
         }
@@ -410,115 +414,56 @@ impl Core {
     /// Emits completed cells in index order; when all cells are out,
     /// folds the merged summary and finishes the job.
     fn try_emit(&mut self, job_id: u64) {
-        loop {
-            let Some(job) = self.jobs.get_mut(&job_id) else {
-                return;
-            };
-            if job.next_emit < job.total {
-                let index = job.next_emit;
-                let CellState::Done(payload) = &job.cells[index].state else {
-                    return; // next cell not done yet — stay ordered
-                };
-                let Json::Obj(body) = payload.clone() else {
-                    return;
-                };
-                let mut members = vec![
-                    ("type".into(), Json::str("cell")),
-                    ("job".into(), Json::u64(job_id)),
-                    ("index".into(), Json::u64(index as u64)),
-                    ("total".into(), Json::u64(job.total as u64)),
-                ];
-                members.extend(body);
-                job.next_emit += 1;
-                self.emit(job_id, Json::Obj(members));
-                continue;
-            }
-            // All cells emitted: fold the job-level summary exactly the
-            // way SimResult::merge does (instructions sum, cycles max,
-            // llc misses sum, ipc recomputed) so the finished event is
-            // bit-identical to a single-service run.
-            let mut instructions = 0u64;
-            let mut cycles = 0u64;
-            let mut llc_misses = 0u64;
-            for cell in &job.cells {
-                let CellState::Done(payload) = &cell.state else {
-                    return;
-                };
-                let merged = payload.get("merged");
-                let field = |name: &str| {
-                    merged
-                        .and_then(|m| m.get(name))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0)
-                };
-                instructions += field("instructions");
-                cycles = cycles.max(field("cycles"));
-                llc_misses += field("llc_misses");
-            }
-            let ipc = if cycles == 0 {
-                0.0
-            } else {
-                instructions as f64 / cycles as f64
-            };
-            let total = job.total;
-            self.terminate(
-                job_id,
-                Json::Obj(vec![
-                    ("type".into(), Json::str("finished")),
-                    ("job".into(), Json::u64(job_id)),
-                    ("cells".into(), Json::u64(total as u64)),
-                    (
-                        "merged".into(),
-                        Json::Obj(vec![
-                            ("instructions".into(), Json::u64(instructions)),
-                            ("cycles".into(), Json::u64(cycles)),
-                            ("ipc".into(), Json::f64(ipc)),
-                            ("llc_misses".into(), Json::u64(llc_misses)),
-                        ]),
-                    ),
-                ]),
-                Terminal::Finished,
-            );
-            self.metrics.jobs_completed.inc();
-            self.job_done();
+        let Some(job) = self.jobs.get_mut(&job_id) else {
             return;
+        };
+        while let Some(CellState::Done(body)) = job.cells.get(job.next_emit).map(|c| &c.state) {
+            let event = cell_event(job_id, job.next_emit, job.total, body.clone());
+            job.next_emit += 1;
+            job.emit(event);
         }
+        if job.next_emit < job.total {
+            return; // next cell not done yet — stay ordered
+        }
+        // The same fold as the service's: every cell's merged result,
+        // first cell first, through SimResult::merge.
+        let merged = job
+            .cells
+            .iter()
+            .filter_map(|cell| match &cell.state {
+                CellState::Done(body) => Some(cell_merged(body)),
+                _ => None,
+            })
+            .reduce(|mut sum, cell| {
+                sum.merge(&cell);
+                sum
+            })
+            .unwrap_or_default();
+        let summary = JobSummary {
+            cells: job.total,
+            merged,
+        };
+        self.terminate(JobEvent::Finished {
+            job: JobId(job_id),
+            summary,
+        });
     }
 
-    fn fail_job(&mut self, job_id: u64, error: &str) {
-        if !self.jobs.contains_key(&job_id) {
-            return;
-        }
-        self.terminate(
-            job_id,
-            Json::Obj(vec![
-                ("type".into(), Json::str("failed")),
-                ("job".into(), Json::u64(job_id)),
-                ("error".into(), Json::str(error.to_string())),
-            ]),
-            Terminal::Failed,
-        );
-        self.metrics.jobs_failed.inc();
-        self.cancel_inflight(job_id);
-        self.job_done();
+    fn fail_job(&mut self, job_id: u64, error: String) {
+        self.terminate(JobEvent::Failed {
+            job: JobId(job_id),
+            error,
+        });
     }
 
     fn cancel(&mut self, job_id: u64) -> bool {
         let Some(completed) = self.jobs.get(&job_id).map(|job| job.next_emit) else {
             return false;
         };
-        self.terminate(
-            job_id,
-            Json::Obj(vec![
-                ("type".into(), Json::str("cancelled")),
-                ("job".into(), Json::u64(job_id)),
-                ("completed".into(), Json::u64(completed as u64)),
-            ]),
-            Terminal::Cancelled,
-        );
-        self.metrics.jobs_cancelled.inc();
-        self.cancel_inflight(job_id);
-        self.job_done();
+        self.terminate(JobEvent::Cancelled {
+            job: JobId(job_id),
+            completed,
+        });
         true
     }
 
@@ -547,8 +492,8 @@ impl Core {
         let Ok(json) = Json::parse(line.trim()) else {
             return;
         };
-        match json.get("type").and_then(Json::as_str).unwrap_or("") {
-            "submitted" => {
+        match json.get("type").and_then(Json::as_str) {
+            Some("submitted") => {
                 let Some(wjob) = json.get("job").and_then(Json::as_u64) else {
                     return;
                 };
@@ -556,7 +501,7 @@ impl Core {
                     self.workers[idx].wjobs.insert(wjob, assignment);
                 }
             }
-            "error" => {
+            Some("error") => {
                 // A submit was rejected before getting a job id; acks
                 // are FIFO, so the front of the queue is the casualty.
                 if let Some((job_id, _)) = self.workers[idx].awaiting_ack.pop_front() {
@@ -566,77 +511,63 @@ impl Core {
                         .and_then(Json::as_str)
                         .unwrap_or("worker rejected cell")
                         .to_string();
-                    self.fail_job(job_id, &message);
+                    self.fail_job(job_id, message);
                     self.pump();
                 }
             }
-            "cell" => {
-                let Some(wjob) = json.get("job").and_then(Json::as_u64) else {
-                    return;
-                };
-                let Some(&(job_id, cell_idx)) = self.workers[idx].wjobs.get(&wjob) else {
-                    return;
-                };
-                // The stored payload is the cell body minus the
-                // envelope (type/job/index/total), so it re-emits
-                // bit-identically under any job id and cell index.
-                let Json::Obj(members) = json else {
-                    return;
-                };
-                let payload = Json::Obj(
-                    members
-                        .into_iter()
-                        .filter(|(key, _)| {
-                            !matches!(key.as_str(), "type" | "job" | "index" | "total")
-                        })
-                        .collect(),
-                );
-                let key = match self.jobs.get(&job_id) {
-                    Some(job) if matches!(job.cells[cell_idx].state, CellState::Inflight(_)) => {
-                        job.cells[cell_idx].key
-                    }
-                    _ => return,
-                };
-                self.store.insert(key, &payload.to_string());
-                if let Some(job) = self.jobs.get_mut(&job_id) {
-                    job.cells[cell_idx].state = CellState::Done(payload);
+            Some("cell") => {
+                if let Some((wjob, body)) = cell_body(json) {
+                    self.on_worker_cell(idx, wjob, body);
                 }
-                self.try_emit(job_id);
             }
-            terminal @ ("finished" | "cancelled" | "failed") => {
-                let Some(wjob) = json.get("job").and_then(Json::as_u64) else {
-                    return;
-                };
-                let Some((job_id, cell_idx)) = self.workers[idx].wjobs.remove(&wjob) else {
-                    return;
-                };
-                self.workers[idx].outstanding = self.workers[idx].outstanding.saturating_sub(1);
-                match terminal {
-                    "failed" => {
-                        let message = json
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("worker cell failed")
-                            .to_string();
-                        self.fail_job(job_id, &message);
-                    }
-                    "cancelled" => {
-                        // The worker dropped a cell we still need
-                        // (e.g. its own shutdown path) — requeue it.
-                        if let Some(job) = self.jobs.get_mut(&job_id) {
-                            if matches!(job.cells[cell_idx].state, CellState::Inflight(_)) {
-                                job.cells[cell_idx].state = CellState::Pending;
-                                self.pending.push_front((job_id, cell_idx));
-                                self.metrics.cells_requeued.inc();
-                            }
-                        }
-                    }
-                    _ => {} // finished: the cell payload already landed
-                }
-                self.pump();
-            }
-            _ => {} // pong / queued / started / metrics_frame
+            _ => match WireEvent::from_json(&json) {
+                Some(event) if event.is_terminal() => self.on_worker_terminal(idx, event),
+                _ => {} // pong / queued / started / metrics_frame
+            },
         }
+    }
+
+    /// Stores a worker's cell result (the `cell` event minus its
+    /// envelope) and emits whatever it unblocks.
+    fn on_worker_cell(&mut self, idx: usize, wjob: u64, body: Json) {
+        let Some(&(job_id, cell_idx)) = self.workers[idx].wjobs.get(&wjob) else {
+            return;
+        };
+        let Some(job) = self.jobs.get_mut(&job_id) else {
+            return;
+        };
+        let cell = &mut job.cells[cell_idx];
+        if !matches!(cell.state, CellState::Inflight(_)) {
+            return;
+        }
+        self.store.insert(cell.key, &body.to_string());
+        cell.state = CellState::Done(body);
+        self.try_emit(job_id);
+    }
+
+    /// Releases the worker slot of a worker-side job that ended. A
+    /// failed cell fails its job; a cancelled one (e.g. the worker's
+    /// own shutdown) is requeued; a finished one already delivered its
+    /// cell.
+    fn on_worker_terminal(&mut self, idx: usize, event: WireEvent) {
+        let Some((job_id, cell_idx)) = self.workers[idx].wjobs.remove(&event.job()) else {
+            return;
+        };
+        self.workers[idx].outstanding = self.workers[idx].outstanding.saturating_sub(1);
+        match event {
+            WireEvent::Failed { error, .. } => self.fail_job(job_id, error),
+            WireEvent::Cancelled { .. } => {
+                if let Some(job) = self.jobs.get_mut(&job_id) {
+                    if matches!(job.cells[cell_idx].state, CellState::Inflight(_)) {
+                        job.cells[cell_idx].state = CellState::Pending;
+                        self.pending.push_front((job_id, cell_idx));
+                        self.metrics.cells_requeued.inc();
+                    }
+                }
+            }
+            _ => {}
+        }
+        self.pump();
     }
 
     /// Tears down a worker link and requeues its in-flight cells.

@@ -31,30 +31,35 @@
 //! Malformed input produces `{"type":"error","message":…}` and keeps
 //! the connection open. A request line longer than [`MAX_REQUEST_LINE`]
 //! bytes gets an error and the connection is closed.
+//!
+//! This module is the one event-line codec, for the service and the
+//! fleet dispatcher alike: [`event_to_json`] and [`cell_event`] write,
+//! [`WireEvent::from_json`], [`cell_body`] and [`cell_merged`] read.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cpu_model::SimResult;
+use cpu_model::{CacheStats, SimResult};
 use secddr_telemetry::Registry;
 
 use crate::json::Json;
 use crate::service::{ExperimentService, JobEvent, JobHandle, JobId, ServiceStats};
 use crate::spec::JobSpec;
 
+fn sim_to_json(sim: &SimResult) -> Json {
+    Json::Obj(vec![
+        ("instructions".into(), Json::u64(sim.instructions)),
+        ("cycles".into(), Json::u64(sim.cycles)),
+        ("ipc".into(), Json::f64(sim.ipc())),
+        ("llc_misses".into(), Json::u64(sim.llc.misses)),
+    ])
+}
+
 /// Serializes one job event to its wire object.
 #[must_use]
 pub fn event_to_json(event: &JobEvent) -> Json {
-    fn sim_to_json(sim: &SimResult) -> Json {
-        Json::Obj(vec![
-            ("instructions".into(), Json::u64(sim.instructions)),
-            ("cycles".into(), Json::u64(sim.cycles)),
-            ("ipc".into(), Json::f64(sim.ipc())),
-            ("llc_misses".into(), Json::u64(sim.llc.misses)),
-        ])
-    }
     match event {
         JobEvent::Queued { job, cells } => Json::Obj(vec![
             ("type".into(), Json::str("queued")),
@@ -70,13 +75,11 @@ pub fn event_to_json(event: &JobEvent) -> Json {
             index,
             total,
             result,
-        } => {
-            let merged = result.merged();
+        } => cell_event(
+            job.0,
+            *index,
+            *total,
             Json::Obj(vec![
-                ("type".into(), Json::str("cell")),
-                ("job".into(), Json::u64(job.0)),
-                ("index".into(), Json::u64(*index as u64)),
-                ("total".into(), Json::u64(*total as u64)),
                 ("benchmark".into(), Json::str(result.benchmark.clone())),
                 ("config".into(), Json::str(result.config.clone())),
                 ("aggregate_ipc".into(), Json::f64(result.aggregate_ipc())),
@@ -84,7 +87,7 @@ pub fn event_to_json(event: &JobEvent) -> Json {
                     "per_core".into(),
                     Json::Arr(result.per_core.iter().map(sim_to_json).collect()),
                 ),
-                ("merged".into(), sim_to_json(&merged)),
+                ("merged".into(), sim_to_json(&result.merged())),
                 (
                     "engine_data_reads".into(),
                     Json::u64(result.engine.data_reads),
@@ -93,8 +96,8 @@ pub fn event_to_json(event: &JobEvent) -> Json {
                     "engine_data_writes".into(),
                     Json::u64(result.engine.data_writes),
                 ),
-            ])
-        }
+            ]),
+        ),
         JobEvent::Metrics { job, counters } => Json::Obj(vec![
             // Distinct from the "metrics" command response: frames carry
             // a job id and only the counters that moved.
@@ -126,6 +129,67 @@ pub fn event_to_json(event: &JobEvent) -> Json {
             ("job".into(), Json::u64(job.0)),
             ("error".into(), Json::str(error.clone())),
         ]),
+    }
+}
+
+/// A `cell` event: the envelope (`type`, `job`, `index`, `total`)
+/// followed by the members of `body`, the cell's result object. A body
+/// that is not an object adds no members.
+#[must_use]
+pub fn cell_event(job: u64, index: usize, total: usize, body: Json) -> Json {
+    let mut members = vec![
+        ("type".into(), Json::str("cell")),
+        ("job".into(), Json::u64(job)),
+        ("index".into(), Json::u64(index as u64)),
+        ("total".into(), Json::u64(total as u64)),
+    ];
+    if let Json::Obj(body) = body {
+        members.extend(body);
+    }
+    Json::Obj(members)
+}
+
+/// The inverse of [`cell_event`]: a `cell` event's job id and its result
+/// object with the envelope stripped, so the result re-emits
+/// bit-identically under any job id and cell index. `None` for any
+/// other line.
+#[must_use]
+pub fn cell_body(event: Json) -> Option<(u64, Json)> {
+    if event.get("type")?.as_str()? != "cell" {
+        return None;
+    }
+    let job = event.get("job")?.as_u64()?;
+    let Json::Obj(members) = event else {
+        return None;
+    };
+    let body = members
+        .into_iter()
+        .filter(|(key, _)| !matches!(key.as_str(), "type" | "job" | "index" | "total"))
+        .collect();
+    Some((job, Json::Obj(body)))
+}
+
+/// The `merged` instructions, cycles and LLC misses of a cell's result
+/// object (a [`cell_body`]), as the [`SimResult`] a job's summary folds
+/// with [`SimResult::merge`]. Every other field, and any missing
+/// member, is zero.
+#[must_use]
+pub fn cell_merged(body: &Json) -> SimResult {
+    let merged = body.get("merged");
+    let field = |name: &str| {
+        merged
+            .and_then(|m| m.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    SimResult {
+        instructions: field("instructions"),
+        cycles: field("cycles"),
+        llc: CacheStats {
+            misses: field("llc_misses"),
+            ..CacheStats::default()
+        },
+        ..SimResult::default()
     }
 }
 
@@ -997,8 +1061,124 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{CellResult, JobSummary};
+    use proptest::prelude::*;
+    use secddr_core::engine::EngineStats;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicU64;
+
+    fn cell(per_core: Vec<SimResult>) -> CellResult {
+        CellResult {
+            benchmark: "mcf".into(),
+            config: "secddr_ctr".into(),
+            per_core,
+            engine: EngineStats {
+                data_reads: 7,
+                data_writes: 3,
+                ..EngineStats::default()
+            },
+        }
+    }
+
+    /// One core's result from drawn counters; zero cycles covers the
+    /// zero-IPC case.
+    fn sim((instructions, cycles, llc, l1, prefetches): (u64, u64, u64, u64, u64)) -> SimResult {
+        SimResult {
+            instructions,
+            cycles,
+            l1: CacheStats {
+                hits: l1,
+                misses: l1 / 3,
+                writebacks: l1 / 5,
+            },
+            llc: CacheStats {
+                hits: llc / 2,
+                misses: llc,
+                writebacks: llc / 7,
+            },
+            prefetches,
+        }
+    }
+
+    #[test]
+    fn cell_body_inverts_cell_event() {
+        let result = cell(vec![
+            sim((9_000, 4_000, 12, 500, 3)),
+            sim((8_000, 5_000, 9, 400, 1)),
+        ]);
+        let event = event_to_json(&JobEvent::Cell {
+            job: JobId(4),
+            index: 1,
+            total: 3,
+            result,
+        });
+        let (_, body) = cell_body(event.clone()).expect("a cell event");
+        assert_eq!(
+            cell_body(cell_event(11, 2, 5, body.clone())),
+            Some((11, body.clone()))
+        );
+        assert_eq!(
+            cell_event(4, 1, 3, body),
+            event,
+            "the envelope comes back in place"
+        );
+        assert_eq!(
+            cell_body(event_to_json(&JobEvent::Started { job: JobId(4) })),
+            None
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The `finished` line folded from the cells' wire bodies equals
+        /// the one the service folds from its `CellResult`s.
+        #[test]
+        fn finished_from_wire_bodies_matches_the_service_fold(
+            cells in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 20),
+                    1..5,
+                ),
+                1..4,
+            ),
+        ) {
+            let cells: Vec<CellResult> = cells
+                .into_iter()
+                .map(|cores| cell(cores.into_iter().map(sim).collect()))
+                .collect();
+            let finished = |merged| {
+                event_to_json(&JobEvent::Finished {
+                    job: JobId(1),
+                    summary: JobSummary { cells: cells.len(), merged },
+                })
+                .to_string()
+            };
+            let fold = |results: Vec<SimResult>| {
+                results.into_iter().reduce(|mut sum, r| {
+                    sum.merge(&r);
+                    sum
+                })
+            };
+            let service = fold(cells.iter().map(CellResult::merged).collect());
+            let wire = fold(
+                cells
+                    .iter()
+                    .enumerate()
+                    .map(|(index, result)| {
+                        let event = event_to_json(&JobEvent::Cell {
+                            job: JobId(1),
+                            index,
+                            total: cells.len(),
+                            result: result.clone(),
+                        });
+                        cell_merged(&cell_body(event).expect("a cell event").1)
+                    })
+                    .collect(),
+            );
+            prop_assert_eq!(finished(wire.unwrap()), finished(service.unwrap()));
+        }
+    }
 
     /// A backend whose jobs are over before `submit` returns: each
     /// job's whole event stream is ready the moment it is accepted.

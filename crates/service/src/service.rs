@@ -570,7 +570,7 @@ fn run_cell(
     spec: &JobSpec,
 ) -> (CellResult, Option<SeriesSnapshot>) {
     let trace = bench.generate_shared(spec.instructions, spec.seed);
-    let cpu_cfg = spec.cpu_config();
+    let cpu_cfg = spec.options.cpu_config();
     let mut engine =
         ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), spec.options);
     if spec.epoch_width > 0 {

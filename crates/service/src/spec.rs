@@ -1,7 +1,7 @@
 //! [`JobSpec`]: the typed description of one experiment job, with its
 //! line-delimited-JSON codec (the TCP front-end's submit payload).
 
-use cpu_model::{Advance, CpuConfig};
+use cpu_model::Advance;
 use secddr_channels::Interleave;
 use secddr_core::config::{EncMode, Mechanism, SecurityConfig};
 use secddr_core::engine::EngineOptions;
@@ -168,17 +168,6 @@ impl JobSpec {
             Interleave::xor(self.channels)
         } else {
             Interleave::modulo(self.channels)
-        }
-    }
-
-    /// The CPU configuration matching [`Self::options`] (the same
-    /// derivation `run_trace_with_options` uses).
-    #[must_use]
-    pub fn cpu_config(&self) -> CpuConfig {
-        CpuConfig {
-            advance: self.options.advance,
-            batch_submit: self.options.batched_ingestion,
-            ..CpuConfig::default()
         }
     }
 

@@ -1,5 +1,6 @@
 //! Fleet dispatcher integration: the dispatcher's event stream is
-//! bit-identical to the single-service path, identical resubmissions
+//! bit-identical to the single-service path (at one core, and at two
+//! cores over two channels), identical resubmissions
 //! are served entirely from the result store (zero cells executed),
 //! back-to-back jobs with millisecond cells all finish and leave the
 //! dispatcher's job table empty, killing one
@@ -110,17 +111,27 @@ fn two_config_spec() -> JobSpec {
 fn dispatcher_stream_is_bit_identical_to_single_service() {
     let _guard = serialize();
     let worker = WorkerGuard::start(2);
-    let spec = two_config_spec();
-    let expected = reference_lines(&spec);
     let dispatcher = Dispatcher::start(DispatcherConfig {
         workers: vec![worker.addr.to_string()],
         ..DispatcherConfig::default()
     })
     .expect("start dispatcher");
-    let handle = dispatcher.submit(&spec).expect("submit");
-    assert_eq!(handle.cells, 2);
-    let got = fleet_lines(handle.wait());
-    assert_eq!(got, expected, "dispatched stream == single-service stream");
+    // The 2-core, 2-channel shape sends a `per_core` array longer than
+    // one through the envelope strip, the store and the summary fold.
+    let mut wide = two_config_spec();
+    wide.cores = 2;
+    wide.channels = 2;
+    for spec in [two_config_spec(), wide] {
+        let expected = reference_lines(&spec);
+        let handle = dispatcher.submit(&spec).expect("submit");
+        assert_eq!(handle.cells, 2);
+        let got = fleet_lines(handle.wait());
+        assert_eq!(
+            got, expected,
+            "dispatched stream == single-service stream at {} cores",
+            spec.cores
+        );
+    }
 }
 
 #[test]

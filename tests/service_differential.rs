@@ -57,7 +57,7 @@ fn multi_channel_matches_direct_sharded_run() {
 
     let bench = Benchmark::by_name("omnetpp").unwrap();
     let trace = bench.generate(INSTRS, SEED);
-    let cpu_cfg = job.cpu_config();
+    let cpu_cfg = job.options.cpu_config();
     let engine = ShardedEngine::with_options(
         SecurityConfig::secddr_ctr(),
         cpu_cfg.clock_mhz,
@@ -80,7 +80,7 @@ fn multi_core_rate_mode_matches_direct_multicore_run() {
 
     let bench = Benchmark::by_name("mcf").unwrap();
     let trace = bench.generate_shared(INSTRS, SEED);
-    let cpu_cfg = job.cpu_config();
+    let cpu_cfg = job.options.cpu_config();
     let engine = ShardedEngine::with_options(
         SecurityConfig::secddr_ctr(),
         cpu_cfg.clock_mhz,
