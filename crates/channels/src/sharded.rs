@@ -26,8 +26,8 @@
 //! A lagging shard's wholesale catch-up is itself block-advanced: the
 //! engine's `advance` rides the controller's *decision bound*
 //! (`DramSystem::tick_until`), so a busy stretch executes only the
-//! cycles where a command can issue or a completion pop — not one
-//! controller tick per covered busy cycle. The per-shard `next_event`
+//! cycles where a command can issue — not one controller tick per
+//! covered busy cycle. The per-shard `next_event`
 //! bounds this layer heaps come from the same decision bound, so a
 //! saturated shard no longer pins the heap head to `now + 1`.
 
@@ -609,7 +609,7 @@ mod tests {
         let t = traced.dram_telemetry();
         assert_eq!(t, plain.dram_telemetry());
         assert_eq!(t.causes.total(), t.decision_cycles);
-        assert!(t.causes.completion > 0, "reads completed");
+        assert!(traced.dram_stats().reads > 0, "reads completed");
         let sink = traced.take_trace().expect("tracing was enabled");
         assert!(!sink.is_empty(), "stepped shards recorded spans");
         assert!(

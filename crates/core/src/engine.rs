@@ -16,7 +16,7 @@ use std::rc::Rc;
 use cpu_model::cache::{Cache, CacheConfig, CacheStats};
 use cpu_model::system::{AccessKind, Busy, MemoryBackend};
 use cpu_model::CpuConfig;
-use dram_sim::{DramSystem, MemRequest, ReqKind};
+use dram_sim::{Completion, DramSystem, MemRequest, ReqKind};
 use sim_kernel::{Advance, EventQueue};
 
 use crate::config::{EncMode, Mechanism, SecurityConfig, CRYPTO_LATENCY};
@@ -537,55 +537,33 @@ impl SecurityEngine {
     ///
     /// With the event-driven policy the channel jumps straight to its next
     /// *decision* cycle — the controller's lower bound on when any command
-    /// can issue, completion pop, drain flip, or refresh act (idle or
-    /// busy). Metadata
-    /// -writeback retries interleave at exactly the same cycles as the
-    /// per-cycle reference: while a writeback is spilled *and* the write
-    /// queue has room we fall back to per-cycle stepping (the rare case —
-    /// a spill implies the queue was just full), and when the queue is
-    /// full the retry provably fails until a column command issues, which
-    /// is itself a decision cycle the skip never jumps over.
+    /// can issue, drain flip, or refresh act (idle or busy) — and hands
+    /// over the completions that landed on the way, each stamped with its
+    /// own finish cycle. Metadata-writeback retries interleave at exactly
+    /// the same cycles as the per-cycle reference: while a writeback is
+    /// spilled *and* the write queue has room we fall back to per-cycle
+    /// stepping (the rare case — a spill implies the queue was just
+    /// full), and when the queue is full the retry provably fails until a
+    /// column command issues, which is itself a decision cycle the skip
+    /// never jumps over.
     fn advance(&mut self, mem_due: u64) {
         let event_driven = self.options.advance.is_event_driven();
+        let mut skipped = Vec::new();
         while self.dram.cycle() < mem_due {
             if event_driven
                 && (self.pending_md_writes.is_empty()
                     || self.dram.write_queue_len() >= self.dram.config().write_queue)
             {
-                self.dram.skip_to_next_decision(mem_due);
+                self.dram.skip_to_next_decision(mem_due, &mut skipped);
+                for completion in skipped.drain(..) {
+                    self.harvest(completion);
+                }
                 if self.dram.cycle() >= mem_due {
                     break;
                 }
             }
             for completion in self.dram.tick() {
-                let off = (completion.id - self.part_base) as usize;
-                let slot = std::mem::replace(&mut self.part_token[off], DEAD_PART);
-                // Slide the window's front over everything already done.
-                while self.part_token.front() == Some(&DEAD_PART) {
-                    self.part_token.pop_front();
-                    self.part_base += 1;
-                }
-                if slot >= UNTRACKED_PART {
-                    debug_assert_ne!(slot, DEAD_PART, "part completed twice");
-                    continue; // untracked metadata traffic
-                }
-                let token = slot;
-                let arrival = self.cpu_cycle_for(completion.finish_cycle);
-                let txn = &mut self.transactions[(token - self.txn_base) as usize];
-                txn.remaining -= 1;
-                txn.latest_arrival_cpu = txn.latest_arrival_cpu.max(arrival);
-                if txn.remaining == 0 {
-                    let visible_at = txn.latest_arrival_cpu + txn.extra_latency;
-                    while matches!(self.transactions.front(), Some(t) if t.remaining == 0) {
-                        self.transactions.pop_front();
-                        self.txn_base += 1;
-                    }
-                    self.live_txns -= 1;
-                    if self.live_txns == 0 {
-                        self.min_extra_in_flight = u64::MAX;
-                    }
-                    self.ready.push(visible_at, token);
-                }
+                self.harvest(completion);
             }
             // Retry spilled metadata writebacks.
             while let Some(&wb) = self.pending_md_writes.front() {
@@ -603,6 +581,39 @@ impl SecurityEngine {
                     break;
                 }
             }
+        }
+    }
+
+    /// Routes one landed DRAM part to its transaction, scheduling the
+    /// read token once its last part has arrived.
+    fn harvest(&mut self, completion: Completion) {
+        let off = (completion.id - self.part_base) as usize;
+        let slot = std::mem::replace(&mut self.part_token[off], DEAD_PART);
+        // Slide the window's front over everything already done.
+        while self.part_token.front() == Some(&DEAD_PART) {
+            self.part_token.pop_front();
+            self.part_base += 1;
+        }
+        if slot >= UNTRACKED_PART {
+            debug_assert_ne!(slot, DEAD_PART, "part completed twice");
+            return; // untracked metadata traffic
+        }
+        let token = slot;
+        let arrival = self.cpu_cycle_for(completion.finish_cycle);
+        let txn = &mut self.transactions[(token - self.txn_base) as usize];
+        txn.remaining -= 1;
+        txn.latest_arrival_cpu = txn.latest_arrival_cpu.max(arrival);
+        if txn.remaining == 0 {
+            let visible_at = txn.latest_arrival_cpu + txn.extra_latency;
+            while matches!(self.transactions.front(), Some(t) if t.remaining == 0) {
+                self.transactions.pop_front();
+                self.txn_base += 1;
+            }
+            self.live_txns -= 1;
+            if self.live_txns == 0 {
+                self.min_extra_in_flight = u64::MAX;
+            }
+            self.ready.push(visible_at, token);
         }
     }
 }
@@ -756,10 +767,10 @@ impl MemoryBackend for SecurityEngine {
         // next advance, so it adds no bound here.
         if !self.dram.is_idle() {
             // Decision cycles are the only cycles where a command issues
-            // or a completion pops — i.e. the only cycles queue space can
-            // free or data can return — so the decision bound is a valid
-            // (and much tighter than `now + 1`) wake-up for a busy
-            // channel. The one exception mirrors `advance`: a spilled
+            // — i.e. the only cycles queue space can free — and returning
+            // data is already in `completion_bound`, so the decision bound
+            // is a valid (and much tighter than `now + 1`) wake-up for a
+            // busy channel. The one exception mirrors `advance`: a spilled
             // metadata writeback with queue room must retry next cycle.
             let mem_next = if self.pending_md_writes.is_empty()
                 || self.dram.write_queue_len() >= self.dram.config().write_queue

@@ -48,7 +48,8 @@
 //! The backend side of each jump is block-advanced too: the DDR4
 //! controllers ride their exact *decision bound*
 //! (`DramSystem::tick_until`), executing only the cycles where a
-//! command can issue or a completion pop. Saturated phases — where both
+//! command can issue (completions land inside the skipped spans).
+//! Saturated phases — where both
 //! policies used to converge on one controller tick per busy DRAM
 //! cycle — therefore no longer floor the wall-clock; the per-record
 //! `controller_decision_cycles` / `controller_busy_cycles` counters in

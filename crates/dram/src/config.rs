@@ -225,6 +225,13 @@ impl DramConfig {
         {
             return Err("organization fields must be powers of two".into());
         }
+        // Every scheduler bank mask is a `u64` indexed by flat bank.
+        if self.total_banks() > 64 {
+            return Err(format!(
+                "{} banks per channel exceed the limit of 64",
+                self.total_banks()
+            ));
+        }
         if self.write_drain_lo >= self.write_drain_hi {
             return Err("write_drain_lo must be below write_drain_hi".into());
         }
@@ -293,6 +300,18 @@ mod tests {
         assert!(DramConfig::ddr4_2400_derated().validate().is_ok());
         assert!(DramConfig::ddr5_4800().validate().is_ok());
         assert!(DramConfig::ddr5_4800_ewcrc().validate().is_ok());
+    }
+
+    #[test]
+    fn more_than_64_banks_per_channel_is_rejected() {
+        let mut c = DramConfig::ddr4_3200();
+        c.ranks = 8;
+        assert_eq!(c.total_banks(), 128);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("limit of 64"), "{err}");
+        let d5 = DramConfig::ddr5_4800();
+        assert_eq!(d5.total_banks(), 64);
+        assert!(d5.validate().is_ok());
     }
 
     #[test]

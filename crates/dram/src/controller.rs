@@ -7,9 +7,10 @@
 //!   cycle, issue at most one command, harvest due completions.
 //! * [`DramSystem::tick_until`] — the event-driven path: jump between
 //!   *decision cycles* (see below), executing only the ticks that can
-//!   issue a command, pop a completion, flip write drain, or act on
-//!   refresh. Skipped cycles are provably no-ops, keeping command
-//!   schedules and statistics bit-identical to the reference.
+//!   issue a command, flip write drain, or act on refresh, and popping
+//!   the completions that land in between at their own finish cycles.
+//!   Skipped cycles are provably no-ops, keeping command schedules,
+//!   completion streams, and statistics bit-identical to the reference.
 //!
 //! # Incremental scheduling state
 //!
@@ -37,22 +38,41 @@
 //! candidate command of the currently scheduled queue it takes the
 //! **conjunction** of the thresholds that gate it, data-bus turnaround
 //! included (earliest cycle all of them hold, past-due ones clamping to
-//! the next cycle), then folds in completion pops, refresh-scan actions,
-//! drain-hysteresis flips, and the anti-starvation onset. Once the oldest
-//! request starves, only its own next command counts. The result is the
-//! exact next decision cycle except across refresh blackouts and, under
-//! [`DramConfig::fcfs`], FCFS ordering (candidates of a rank with a
-//! refresh pending, and row hits behind the oldest request, are kept, so
-//! the bound may wake a tick early there and execute the same no-op tick
-//! the per-cycle reference executed — never skip a decision).
+//! the next cycle), then folds in refresh-scan actions, drain-hysteresis
+//! flips, and the anti-starvation onset. Once the oldest request
+//! starves, only its own next command counts. Banks of a rank with a
+//! refresh pending leave the fold: nothing issues there before the
+//! rank's REF, which the refresh fold already bounds. Completions are
+//! not decisions: [`DramSystem::skip_to_next_decision`] pops the ones
+//! due inside a skipped span at their own finish cycles, and callers
+//! that wait on data read [`DramSystem::next_pending_completion`]. The
+//! result is the exact next decision cycle except for the refresh-due
+//! arming tick and, under [`DramConfig::fcfs`], FCFS ordering (row hits
+//! behind the oldest request are kept, so the bound may wake a tick
+//! early there and execute the same no-op tick the per-cycle reference
+//! executed — never skip a decision).
 //!
-//! Each bound query recomputes every occupied bank's readiness and keeps
-//! it as a per-bank *readiness snapshot*. Timing registers only ratchet
-//! upward as commands issue elsewhere, so a snapshot stays a lower bound
-//! on its bank's readiness until a bank-local change (enqueue, ACT, PRE)
-//! drops it; the scheduler skips a bank whose snapshot is still in the
-//! future without touching its FIFOs. The bound itself is memoized across
-//! no-op ticks, which cannot change scheduler state.
+//! Each occupied bank's readiness is kept as a per-bank *readiness
+//! snapshot*, exact while the bank is clean. Readiness is a pure
+//! function of timing registers, bus state, and the bank's FIFOs, so a
+//! command dirties exactly the banks whose inputs it moved:
+//!
+//! * a PRE dirties its own bank;
+//! * an ACT dirties its bank plus the closed banks of its rank (tRRD,
+//!   tFAW);
+//! * a column command dirties its bank plus every row-hit bank (bus
+//!   turnaround, tCCD, tWTR);
+//! * a REF dirties its rank.
+//!
+//! An enqueue to the bank and activate/precharge reclassification drop
+//! the snapshot outright; otherwise timing registers only ratchet
+//! upward, so even a dirty snapshot stays a lower bound and the
+//! scheduler skips a bank whose snapshot is still in the future. A bound
+//! query recomputes only the dirty occupied banks and records the *due
+//! set* — every bank whose readiness is at or before the bound — so
+//! while the memoized bound is valid the scheduler walks only those
+//! banks. The memo survives no-op ticks and completions, which cannot
+//! change scheduler state.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -89,6 +109,19 @@ impl std::error::Error for EnqueueError {}
 /// or a rank switch. Shared by [`DramSystem::col_ready_at`], which both
 /// the scheduler's column check and the decision bound read.
 const TURNAROUND_BUBBLE: u64 = 2;
+
+/// A memoized decision bound and the banks due by it.
+#[derive(Debug, Clone, Copy)]
+struct DecisionMemo {
+    /// The bound: strictly after the cycle it was computed at.
+    at: u64,
+    /// Every bank of the scheduled queue whose readiness is at or before
+    /// `at` (past-due banks included, since they clamp to the next
+    /// cycle). While the memo is valid no other bank can issue at any
+    /// cycle up to `at`; `u64::MAX` when the query did not walk the
+    /// banks.
+    due: u64,
+}
 
 #[derive(Debug, Clone)]
 struct QueuedReq {
@@ -401,23 +434,26 @@ pub struct DramSystem {
     series: Option<crate::series::DramSeries>,
     /// Age (cycles) beyond which the oldest request pre-empts row hits.
     starvation_limit: u64,
-    /// Memoized [`Self::next_decision_cycle`] bound (always strictly
-    /// after the cycle it was computed at). Invalidated by any enqueue
-    /// and by every non-no-op tick; no-op ticks cannot change scheduler
-    /// state, so an unexpired value stays a valid lower bound across
-    /// them.
-    next_decision_cache: Cell<Option<u64>>,
+    /// Memoized [`Self::next_decision_cycle`] bound and its due set.
+    /// Invalidated by any enqueue, drain flip, and command issue; no-op
+    /// ticks and completions cannot change scheduler state, so an
+    /// unexpired memo stays exact across them.
+    next_decision_cache: Cell<Option<DecisionMemo>>,
     /// Per-bank readiness snapshot: the bank's earliest command issue
-    /// (column, PRE, or ACT) for one queue as of the last bound query,
-    /// tagged with the queue kind so entries taken for the other drain
-    /// mode are ignored. Dropped by an enqueue to the bank and by
-    /// activate/precharge reclassification. Commands elsewhere only
-    /// ratchet the timing registers upward (and the bus term, see
-    /// [`Self::col_ready_at`]); a column issue at this bank needed
-    /// `now >= snapshot`, so the snapshot stays a lower bound on the
-    /// bank's fresh readiness. [`Self::pick_action_incremental`] skips a
-    /// bank whose snapshot is still in the future.
+    /// (column, PRE, or ACT) for one queue, tagged with the queue kind so
+    /// entries taken for the other drain mode are ignored. Exact while
+    /// the bank's `bank_dirty` bit is clear. Dropped by an enqueue to the
+    /// bank and by activate/precharge reclassification (either can lower
+    /// readiness); every other command only ratchets timing registers
+    /// upward (and the bus term, see [`Self::col_ready_at`]) and dirties
+    /// the banks whose inputs it moved, so a dirty snapshot is still a
+    /// lower bound. [`Self::pick_action_incremental`] skips a bank whose
+    /// snapshot is still in the future.
     bank_ready: Vec<Cell<Option<(ReqKind, u64)>>>,
+    /// Bit `fb` set when a command moved an input of bank `fb`'s
+    /// readiness since its snapshot was taken (see the module doc for
+    /// the rules). Cleared as [`Self::compute_next_decision`] recomputes.
+    bank_dirty: Cell<u64>,
     /// False when the write-drain predicate provably cannot fire: it
     /// reads only the queue lengths and the current mode, so after an
     /// evaluation that did not flip it stays false until a length
@@ -492,6 +528,7 @@ impl DramSystem {
             starvation_limit: 2_000,
             next_decision_cache: Cell::new(None),
             bank_ready: vec![Cell::new(None); total_banks],
+            bank_dirty: Cell::new(0),
             drain_dirty: true,
             refresh_due_min,
             refresh_pending_any: false,
@@ -646,56 +683,60 @@ impl DramSystem {
     }
 
     /// Lower bound (strictly after [`Self::cycle`]) on the next cycle at
-    /// which [`Self::tick`] could do anything at all — issue a command,
-    /// flip drain mode, pop a completion, act on refresh, or cross the
+    /// which [`Self::tick`] could change scheduler state — issue a
+    /// command, flip drain mode, act on refresh, or cross the
     /// anti-starvation limit — valid in **any** state, busy or idle.
+    /// Completions are not in it: they land at their own finish cycles
+    /// whether or not a tick executes there (see
+    /// [`Self::skip_to_next_decision`]); [`Self::next_pending_completion`]
+    /// is their bound.
     ///
     /// For each candidate command it takes the conjunction of the
     /// thresholds that gate it, the data-bus turnaround included: the
     /// earliest cycle all of them hold, past-due ones clamping to the
     /// next cycle. Once the oldest request starves, only that request's
-    /// own next command counts, as in the scheduler. The bound is exact
-    /// except across refresh blackouts and FCFS ordering: candidates of a
-    /// rank with a refresh pending, and (with [`DramConfig::fcfs`]) row
-    /// hits behind the oldest request, still count, so the bound may wake
-    /// a tick early there — executing the same no-op tick the per-cycle
-    /// reference executed, never missing a decision.
+    /// own next command counts, as in the scheduler, and banks of a rank
+    /// with a refresh pending are left out until its REF. The bound is
+    /// exact except for the refresh-due arming tick and FCFS ordering:
+    /// with [`DramConfig::fcfs`], row hits behind the oldest request
+    /// still count, so the bound may wake a tick early there — executing
+    /// the same no-op tick the per-cycle reference executed, never
+    /// missing a decision.
     pub fn next_decision_cycle(&self) -> u64 {
         let now = self.clock.now();
         if let Some(cached) = self.next_decision_cache.get() {
-            if cached > now {
-                return cached;
+            if cached.at > now {
+                return cached.at;
             }
         }
-        let bound = self.compute_next_decision(now);
-        self.next_decision_cache.set(Some(bound));
-        bound
+        let memo = self.compute_next_decision(now);
+        self.next_decision_cache.set(Some(memo));
+        memo.at
     }
 
-    fn compute_next_decision(&self, now: u64) -> u64 {
+    fn compute_next_decision(&self, now: u64) -> DecisionMemo {
         // A drain flip is a scheduling change with no timing threshold
         // attached: if the predicate holds on the current lengths it
         // fires on the very next tick. (`drain_dirty == false` proves it
         // cannot hold — see `update_drain_mode`.)
         if self.drain_dirty && self.drain_would_flip() {
-            return now + 1;
+            return DecisionMemo {
+                at: now + 1,
+                due: u64::MAX,
+            };
         }
         let mut bound = u64::MAX;
-        // In-flight data beats pop at their precomputed finish cycles.
-        if let Some(t) = self.pending.peek_time() {
-            fold_ready_event(now, &mut bound, t);
-        }
         self.fold_refresh_decision(now, &mut bound);
         // Scheduler candidates, from the currently scheduled queue only:
         // the inactive queue cannot issue before a drain flip, and flips
         // are covered above (plus by cache invalidation on every length
         // change).
         let Some(kind) = self.sched_kind() else {
-            return bound;
+            return DecisionMemo { at: bound, due: 0 };
         };
         let q = self.sched(kind);
         let Some((_, oldest)) = q.oldest() else {
-            return bound;
+            return DecisionMemo { at: bound, due: 0 };
         };
         // Anti-starvation: from the tick at which the oldest request's
         // age first exceeds the limit, only that request may act, so its
@@ -715,20 +756,62 @@ impl DramSystem {
                 };
                 fold_ready_event(now, &mut bound, ready);
             }
-            return bound;
+            return DecisionMemo {
+                at: bound,
+                due: u64::MAX,
+            };
         }
         // The onset itself is a decision change without any command
         // issuing.
         fold_ready_event(now, &mut bound, onset);
-        let mut m = q.hit_mask | q.miss_mask;
+        let occupied = (q.hit_mask | q.miss_mask) & !self.refresh_blocked_banks();
+        let dirty = self.bank_dirty.get();
+        let (mut sched_min, mut due) = (u64::MAX, 0u64);
+        let mut m = occupied;
         while m != 0 {
             let fb = m.trailing_zeros() as usize;
+            let bit = m & m.wrapping_neg();
             m &= m - 1;
-            let ready = self.bank_ready_at(kind, fb);
-            self.bank_ready[fb].set(Some((kind, ready)));
-            fold_ready_event(now, &mut bound, ready);
+            let ready = match self.bank_ready[fb].get() {
+                Some((k, t)) if k == kind && dirty & bit == 0 => t,
+                _ => {
+                    let t = self.bank_ready_at(kind, fb);
+                    self.bank_ready[fb].set(Some((kind, t)));
+                    t
+                }
+            }
+            .max(now + 1);
+            if ready < sched_min {
+                (sched_min, due) = (ready, bit);
+            } else if ready == sched_min {
+                due |= bit;
+            }
         }
-        bound
+        self.bank_dirty.set(dirty & !occupied);
+        if sched_min > bound {
+            due = 0;
+        }
+        DecisionMemo {
+            at: bound.min(sched_min),
+            due,
+        }
+    }
+
+    /// Banks of every rank with a refresh pending: nothing issues there
+    /// before the rank's REF.
+    fn refresh_blocked_banks(&self) -> u64 {
+        if !self.refresh_pending_any {
+            return 0;
+        }
+        (0..self.ranks.len())
+            .filter(|&r| self.ranks[r].refresh_pending)
+            .fold(0, |m, r| m | self.rank_bank_mask(r))
+    }
+
+    /// Bit mask of rank `r`'s flat banks.
+    fn rank_bank_mask(&self, r: usize) -> u64 {
+        let bpr = 1u32 << self.rank_shift;
+        (u64::MAX >> (64 - bpr)) << (r << self.rank_shift)
     }
 
     /// Folds the refresh machinery's next possible action into `bound`,
@@ -773,8 +856,8 @@ impl DramSystem {
     /// Earliest cycle any of `flat_bank`'s requests in the `kind` queue
     /// could issue a command: the bank's oldest row hit's column command,
     /// or its miss front's PRE (row open) / ACT (row closed). Refresh
-    /// blackouts are deliberately omitted (they only delay, so omission
-    /// keeps this a lower bound).
+    /// blackouts are left to the caller: the decision bound drops banks
+    /// of a refresh-pending rank, and the scheduler checks the rank.
     fn bank_ready_at(&self, kind: ReqKind, flat_bank: usize) -> u64 {
         let q = self.sched(kind);
         let bit = 1u64 << flat_bank;
@@ -848,40 +931,53 @@ impl DramSystem {
             .max(rank.faw_ready(self.cfg.t_faw))
     }
 
-    /// Fast-forwards over a span proven decision-free, crediting the
-    /// cycle counter and the busy-cycle counter (queue contents and
-    /// in-flight completions are constant across such a span, so its
-    /// idleness is too; the occupancy histograms are credited lazily by
-    /// [`Self::stats`] for the same reason).
-    fn skip_span_to(&mut self, cycle: u64) {
+    /// Fast-forwards over a span proven decision-free, popping the
+    /// completions due inside it into `done` and crediting the cycle
+    /// counter and the busy-cycle counter. Queue contents are constant
+    /// across such a span, and a completion only leaves the in-flight
+    /// set, so the channel is busy through the whole span while a request
+    /// is queued or still in flight at its end, and otherwise through the
+    /// last completion it pops (the occupancy histograms are credited
+    /// lazily by [`Self::stats`]).
+    fn skip_span_to(&mut self, cycle: u64, done: &mut Vec<Completion>) {
+        let from = self.clock.now();
         let skipped = self.clock.skip_to(cycle);
-        if skipped > 0 {
-            // Roll the series *before* crediting: a span skipped across
-            // a window boundary is credited to the window it lands in.
-            if let Some(series) = &mut self.series {
-                series.roll(cycle, &self.telemetry);
-            }
-            self.stats.cycles += skipped;
-            if !self.is_idle() {
-                self.telemetry.busy_cycles += skipped;
-            }
+        if skipped == 0 {
+            return;
         }
+        // Roll the series *before* crediting: a span skipped across a
+        // window boundary is credited to the window it lands in.
+        if let Some(series) = &mut self.series {
+            series.roll(cycle, &self.telemetry);
+        }
+        self.stats.cycles += skipped;
+        let mut busy_to = from;
+        while let Some((at, c)) = self.pending.pop_due(cycle) {
+            busy_to = at;
+            done.push(c);
+        }
+        if !self.is_idle() {
+            busy_to = cycle;
+        }
+        self.telemetry.busy_cycles += busy_to - from;
     }
 
     /// Jumps the clock to just before the next decision cycle, or to
-    /// `target` when no decision can occur at or before it. On return,
-    /// either `cycle() == target` (nothing can happen in the window) or
-    /// the next [`Self::tick`] executes a potential decision cycle.
-    pub fn skip_to_next_decision(&mut self, target: u64) {
+    /// `target` when no decision can occur at or before it, pushing every
+    /// completion that lands on the way into `done` (each stamped with its
+    /// own `finish_cycle`). On return, either `cycle() == target`
+    /// (nothing can happen in the window) or the next [`Self::tick`]
+    /// executes a potential decision cycle.
+    pub fn skip_to_next_decision(&mut self, target: u64, done: &mut Vec<Completion>) {
         let now = self.clock.now();
         if now >= target {
             return;
         }
         let next = self.next_decision_cycle();
         if next > target {
-            self.skip_span_to(target);
+            self.skip_span_to(target, done);
         } else if next > now + 1 {
-            self.skip_span_to(next - 1);
+            self.skip_span_to(next - 1, done);
         }
     }
 
@@ -896,8 +992,10 @@ impl DramSystem {
     /// O(cycles).
     pub fn tick_until(&mut self, target: u64) -> Vec<(u64, Completion)> {
         let mut done = Vec::new();
+        let mut skipped = Vec::new();
         while self.clock.now() < target {
-            self.skip_to_next_decision(target);
+            self.skip_to_next_decision(target, &mut skipped);
+            done.extend(skipped.drain(..).map(|c| (c.finish_cycle, c)));
             if self.clock.now() >= target {
                 break;
             }
@@ -956,7 +1054,8 @@ impl DramSystem {
                             enqueue_cycle: req.enqueue_cycle,
                         },
                     );
-                    self.next_decision_cache.set(None);
+                    // In flight only: the scheduler state and the
+                    // decision bound are unchanged.
                     return Ok(());
                 }
                 if self.read_sched.len() >= self.cfg.read_queue {
@@ -1026,6 +1125,10 @@ impl DramSystem {
         // tick may issue without any timing threshold crossing, so the
         // idle-skip must not jump over the cycle after it.
         let drain_flipped = self.update_drain_mode();
+        if drain_flipped {
+            // The memo's due set belongs to the other queue.
+            self.next_decision_cache.set(None);
+        }
         let (refreshed, issued_hit) = if self.issue_refresh() {
             (true, None)
         } else {
@@ -1058,8 +1161,9 @@ impl DramSystem {
         } else {
             self.telemetry.causes.noop += 1;
         }
-        // A tick that changed nothing leaves the memoized bound valid.
-        if drain_flipped || issued || !done.is_empty() {
+        // A tick that issued nothing leaves the memoized bound valid: a
+        // completion pop changes no scheduler state.
+        if issued {
             self.next_decision_cache.set(None);
         }
         done
@@ -1148,6 +1252,7 @@ impl DramSystem {
                 for b in base..base + bpr {
                     self.banks[b].next_act = now + self.cfg.t_rfc;
                 }
+                *self.bank_dirty.get_mut() |= self.rank_bank_mask(r);
                 self.ranks[r].refresh_due += self.cfg.t_refi;
                 self.ranks[r].refresh_pending = false;
                 self.refresh_due_min = self
@@ -1231,14 +1336,20 @@ impl DramSystem {
     /// Within one bank, column/ACT/PRE readiness is identical for every
     /// request of the same eligibility class, so only the front of each
     /// class can be the first-in-arrival-order ready request — the
-    /// quantity both FR-FCFS passes select. A bank whose readiness
-    /// snapshot is still in the future cannot act and is skipped before
-    /// its FIFOs are touched.
+    /// quantity both FR-FCFS passes select. While the memoized decision
+    /// bound is valid only its due set can act, so the passes walk just
+    /// those banks; otherwise they walk every occupied bank. A bank whose
+    /// readiness snapshot is still in the future cannot act and is
+    /// skipped before its FIFOs are touched.
     fn pick_action_incremental(&self, kind: ReqKind) -> Option<SchedAction> {
         let q = self.sched(kind);
         let (oldest_idx, oldest) = q.oldest()?;
         let now = self.clock.now();
         let starving = now.saturating_sub(oldest.req.enqueue_cycle) > self.starvation_limit;
+        let due = match self.next_decision_cache.get() {
+            Some(memo) if now <= memo.at => memo.due,
+            _ => u64::MAX,
+        };
         let not_ready =
             |fb: usize| matches!(self.bank_ready[fb].get(), Some((k, t)) if k == kind && t > now);
 
@@ -1246,7 +1357,7 @@ impl DramSystem {
         // the earliest-arrived ready hit-FIFO front across banks.
         if !starving && !self.cfg.fcfs {
             let mut best: Option<u32> = None;
-            let mut m = q.hit_mask;
+            let mut m = q.hit_mask & due;
             while m != 0 {
                 let fb = m.trailing_zeros() as usize;
                 m &= m - 1;
@@ -1309,7 +1420,7 @@ impl DramSystem {
 
         // PRE/ACT preparation: earliest-arrived ready miss-FIFO front.
         let mut best: Option<(u32, SchedAction)> = None;
-        let mut m = q.miss_mask;
+        let mut m = q.miss_mask & due;
         while m != 0 {
             let fb = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -1484,6 +1595,12 @@ impl DramSystem {
         rank.next_act_same_bg[bg] = rank.next_act_same_bg[bg].max(now + self.cfg.t_rrd_l);
         rank.record_act(now);
         self.stats.activates += 1;
+        // tRRD/tFAW moved for every closed bank of the rank.
+        let base = (d.rank as usize) << self.rank_shift;
+        let closed = (base..base + (1 << self.rank_shift))
+            .filter(|&b| self.banks[b].open_row.is_none())
+            .fold(1 << flat_bank, |m, b| m | 1 << b);
+        *self.bank_dirty.get_mut() |= closed;
     }
 
     fn col_cmd_ready(&self, kind: ReqKind, flat_bank: usize) -> bool {
@@ -1512,6 +1629,9 @@ impl DramSystem {
                 self.write_lines.remove(&line);
             }
         }
+        // Bus turnaround, tCCD and tWTR moved for every row-hit bank.
+        *self.bank_dirty.get_mut() |=
+            1 << entry.flat_bank | self.read_sched.hit_mask | self.write_sched.hit_mask;
         let d = entry.decoded;
         let bg = d.bank_group as usize;
         if !entry.touched {
@@ -1619,17 +1739,19 @@ impl DramSystem {
                 if (q.miss_mask & (1 << fb) != 0) == exp_misses[fb].is_empty() {
                     return Err(format!("{label}: bank {fb} miss-mask bit wrong"));
                 }
-                // A readiness snapshot must stay a lower bound on the
-                // bank's fresh readiness (the ratchet invariant the
-                // scheduler's skip relies on). Checked once per bank: its
-                // own tag says which queue it was taken for.
+                // A clean readiness snapshot must equal the bank's fresh
+                // readiness (the decision bound folds it as is), and a
+                // dirty one must stay a lower bound (the ratchet invariant
+                // the scheduler's skip relies on). Checked once per bank:
+                // its own tag says which queue it was taken for.
                 if kind == ReqKind::Read {
                     if let Some((k, snapshot)) = self.bank_ready[fb].get() {
                         let fresh = self.bank_ready_at(k, fb);
-                        if snapshot > fresh {
+                        let dirty = self.bank_dirty.get() & (1 << fb) != 0;
+                        if snapshot > fresh || (!dirty && snapshot != fresh) {
                             return Err(format!(
                                 "bank {fb} {k:?} readiness snapshot {snapshot} \
-                                 above fresh {fresh}"
+                                 (dirty: {dirty}) != fresh {fresh}"
                             ));
                         }
                     }
@@ -2109,11 +2231,12 @@ mod tests {
         assert_eq!(fast_t.causes.issue_hit, ref_t.causes.issue_hit);
         assert_eq!(fast_t.causes.issue_miss, ref_t.causes.issue_miss);
         assert_eq!(fast_t.causes.refresh, ref_t.causes.refresh);
-        // Completion pops and drain flips are decision cycles the fast
-        // path must execute at their exact cycle (skipping one would
-        // diverge the schedule), so those buckets agree too — only the
-        // passive noop/aging buckets absorb the skipped ticks.
-        assert_eq!(fast_t.causes.completion, ref_t.causes.completion);
+        // Drain flips are decision cycles the fast path must execute at
+        // their exact cycle (skipping one would diverge the schedule), so
+        // that bucket agrees too. A completion is not a decision: the
+        // fast path pops it inside a skipped span unless a tick executes
+        // at its cycle anyway, so its bucket can only shrink.
+        assert!(fast_t.causes.completion <= ref_t.causes.completion);
         assert_eq!(fast_t.causes.drain_flip, ref_t.causes.drain_flip);
     }
 
@@ -2309,6 +2432,8 @@ mod review_repro {
                 "decision diverged at cycle {t} (draining={})",
                 dram.write_queue_len()
             );
+            dram.validate_incremental_state()
+                .unwrap_or_else(|e| panic!("cycle {t}: {e}"));
             dram.tick();
         }
     }

@@ -30,7 +30,12 @@ pub struct DecisionCauses {
     /// PRE).
     pub refresh: u64,
     /// No command issued, but at least one completion's final data beat
-    /// landed this cycle.
+    /// landed this cycle. A completion is not a decision: under
+    /// `tick_until` it lands inside a skipped span, so this bucket only
+    /// counts ticks executed for another reason that issued nothing — a
+    /// drain flip, a starvation onset, a refresh-due arming tick — on
+    /// which data also landed; a per-cycle caller lands every completion
+    /// cycle here.
     pub completion: u64,
     /// The write-drain hysteresis flipped and nothing else happened.
     pub drain_flip: u64,
@@ -39,9 +44,9 @@ pub struct DecisionCauses {
     /// onset tick (the decision bound then follows the starving request's
     /// own next command), plus any tick a refresh holds it up.
     pub aging: u64,
-    /// Any other executed no-op tick. Under `tick_until` these are
-    /// refresh blackouts (the decision bound keeps candidates of a rank
-    /// with a refresh pending) and, with FCFS scheduling, row hits waiting
+    /// Any other executed no-op tick. Under `tick_until` these are the
+    /// refresh-due arming ticks (a rank crossing its due time issues
+    /// nothing that cycle) and, with FCFS scheduling, row hits waiting
     /// behind the oldest request; a per-cycle caller also lands every
     /// dead cycle here.
     pub noop: u64,

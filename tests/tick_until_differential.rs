@@ -35,7 +35,7 @@ proptest! {
     /// `tick_until` ≡ sequential ticks across random traffic, rank
     /// counts, FCFS modes, and drain boundaries. The event-driven run
     /// also re-validates the controller's incremental state (including
-    /// the decision-bound cache ratchet) at the end.
+    /// the exact readiness snapshots) after every jump and at the end.
     #[test]
     fn tick_until_matches_sequential_ticks(
         steps in proptest::collection::vec(step_strategy(), 1..120),
@@ -60,6 +60,8 @@ proptest! {
                         let target = dram.cycle() + u64::from(n);
                         if event_driven {
                             completions.extend(dram.tick_until(target));
+                            dram.validate_incremental_state()
+                                .expect("incremental state consistent");
                         } else {
                             while dram.cycle() < target {
                                 let at = dram.cycle() + 1;
