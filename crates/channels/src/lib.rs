@@ -10,10 +10,9 @@
 //!   one `(shard, dense local address)` pair;
 //! * [`ShardedEngine`] — N independent
 //!   [`secddr_core::engine::SecurityEngine`] + DDR-channel shards whose
-//!   top-level advance is event-driven: a min-heap over the shards'
-//!   memoized next-event bounds steps only the shard(s) that are due, so
-//!   the per-shard idle windows that *grow* with N are skipped at the
-//!   top level;
+//!   top-level advance is event-driven: it steps only the shards with a
+//!   completion due by the target, so the per-shard idle windows that
+//!   *grow* with N are skipped at the top level;
 //! * [`ChannelStats`] — per-channel DRAM statistics
 //!   ([`dram_sim::DramStats`]) whose `merge` aggregates counters and
 //!   occupancy/latency histograms across shards.

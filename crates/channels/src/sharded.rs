@@ -7,36 +7,34 @@
 //! backend: tokens, batch results, and completions are translated at this
 //! layer, so `CpuSystem` is oblivious to the shard count.
 //!
-//! The top-level advance is event-driven: each shard registers its
-//! memoized [`MemoryBackend::next_event`] lower bound in a min-heap
-//! ([`sim_kernel::EventQueue`] with lazy staleness filtering), and
-//! [`MemoryBackend::advance_to`] steps **only the shards whose bound is
-//! due** within the window. A shard whose bound is past the window
-//! provably has nothing observable to report (the bound contract the
-//! core scheduler already relies on), so its channel clock is left
-//! lagging and caught up wholesale on its next interaction — the
-//! per-shard idle windows that grow with N are skipped at the top level
-//! instead of being re-proven per shard per cycle. Under
-//! [`Advance::PerCycle`] every shard advances on every call instead:
-//! that branch is the reference the due-shard heap is checked against.
-//! [`ShardedEngine::sync`] catches every shard up to the last observed
-//! CPU cycle, which the statistics accessors do implicitly so merged
-//! stats are bit-comparable with an always-advanced engine.
+//! The top-level advance is event-driven: [`MemoryBackend::advance_to`]
+//! walks the shards in index order and steps **only the shards whose
+//! [`MemoryBackend::next_completion_event`] bound is at or before the
+//! target**. A shard whose bound is past the window provably delivers
+//! nothing in it, so its channel clock is left lagging and caught up
+//! wholesale on its next interaction: its own `submit` (which advances
+//! the channel to `now` before stamping), a later due step, or
+//! [`ShardedEngine::sync`]. The deferred catch-up is cycle-identical to
+//! advancing every cycle, so the per-shard idle windows that grow with N
+//! are skipped at the top level instead of being re-proven per shard per
+//! cycle. Under [`Advance::PerCycle`] every shard advances on every call
+//! instead: that branch is the reference the due-shard rule is checked
+//! against. The statistics accessors sync first, so merged stats are
+//! bit-comparable with an always-advanced engine.
 //!
 //! A lagging shard's wholesale catch-up is itself block-advanced: the
 //! engine's `advance` rides the controller's *decision bound*
-//! (`DramSystem::tick_until`), so a busy stretch executes only the
-//! cycles where a command can issue — not one controller tick per
-//! covered busy cycle. The per-shard `next_event`
-//! bounds this layer heaps come from the same decision bound, so a
-//! saturated shard no longer pins the heap head to `now + 1`.
+//! (`DramSystem::skip_to_next_decision` plus `tick`), so a busy stretch
+//! executes only the cycles where a command can issue — not one
+//! controller tick per covered busy cycle. Completions that land inside a
+//! skipped span are popped at their own finish cycles.
 
 use cpu_model::system::{AccessKind, BatchAccess, Busy, MemoryBackend};
 use dram_sim::{ControllerTelemetry, DramStats};
 use secddr_core::config::SecurityConfig;
 use secddr_core::engine::{EngineOptions, EngineStats, SecurityEngine};
 use secddr_telemetry::{SeriesSnapshot, TraceSink};
-use sim_kernel::{Advance, EventQueue, FxHashMap};
+use sim_kernel::{Advance, FxHashMap};
 
 use crate::interleave::Interleave;
 
@@ -54,12 +52,6 @@ pub struct ShardedEngine {
     /// Per shard: local read token → global token (writes complete
     /// silently and are never mapped).
     local_to_global: Vec<FxHashMap<u64, u64>>,
-    /// Registered next-event lower bound per shard; `u64::MAX` means "no
-    /// internal event pending" and keeps the shard out of the heap.
-    bounds: Vec<u64>,
-    /// Min-heap of `(bound, shard)` wake-ups. Entries whose time no
-    /// longer matches `bounds[shard]` are stale and skipped on pop.
-    due: EventQueue<usize>,
     /// Latest CPU cycle observed on any trait call — the catch-up target
     /// for lagging shards in [`Self::sync`].
     last_now: u64,
@@ -70,8 +62,6 @@ pub struct ShardedEngine {
     split: Vec<Vec<BatchAccess>>,
     split_results: Vec<Vec<Result<u64, Busy>>>,
     cursors: Vec<usize>,
-    /// Scratch list of shards due in the current advance.
-    due_now: Vec<usize>,
     /// Reusable `(cycle, local token)` buffer for per-shard block
     /// advances.
     stamp_scratch: Vec<(u64, u64)>,
@@ -117,14 +107,11 @@ impl ShardedEngine {
             advance: options.advance,
             next_token: 0,
             local_to_global: vec![FxHashMap::default(); n],
-            bounds: vec![u64::MAX; n],
-            due: EventQueue::new(),
             last_now: 0,
             shard_ticks: vec![0; n],
             split: vec![Vec::new(); n],
             split_results: vec![Vec::new(); n],
             cursors: vec![0; n],
-            due_now: Vec::new(),
             stamp_scratch: Vec::new(),
             trace: None,
             trace_mark: vec![0; n],
@@ -156,7 +143,7 @@ impl ShardedEngine {
 
     /// How many times each shard was actually stepped by
     /// [`MemoryBackend::advance_to`] — idle shards stay at zero because
-    /// they never enter the wake-up heap.
+    /// their completion bound is never due.
     #[must_use]
     pub fn shard_tick_counts(&self) -> &[u64] {
         &self.shard_ticks
@@ -291,25 +278,8 @@ impl ShardedEngine {
         Ok(global)
     }
 
-    /// Re-registers shard `s`'s next-event bound after an interaction
-    /// changed its state. Keeps the earliest registered bound: a stale
-    /// early wake-up just re-derives the bound, while a late one could
-    /// miss an event.
-    fn refresh_bound(&mut self, s: usize, now: u64) {
-        if !self.advance.is_event_driven() {
-            return;
-        }
-        let bound = self.shards[s].next_event(now).unwrap_or(u64::MAX);
-        if bound < self.bounds[s] {
-            self.bounds[s] = bound;
-            if bound != u64::MAX {
-                self.due.push(bound, s);
-            }
-        }
-    }
-
     /// Block-advances shard `s` to `target`, translating its stamped
-    /// completions to global tokens, and re-registers its bound.
+    /// completions to global tokens.
     fn advance_shard_to(&mut self, s: usize, target: u64, out: &mut Vec<(u64, u64)>) {
         self.shard_ticks[s] += 1;
         self.trace_step(s, target);
@@ -323,7 +293,6 @@ impl ShardedEngine {
             out.push((at, global));
         }
         self.stamp_scratch = scratch;
-        self.refresh_bound(s, target);
     }
 
     /// Folds `f(shard, now)` over all shards into one lower bound with
@@ -387,9 +356,7 @@ impl MemoryBackend for ShardedEngine {
         // The shard's own submit catches its channel clock up to `now`
         // before stamping, so a lagging shard re-synchronizes here.
         let result = self.shards[s].submit(kind, local, now, is_prefetch);
-        let result = self.register(s, kind, result);
-        self.refresh_bound(s, now);
-        result
+        self.register(s, kind, result)
     }
 
     fn submit_batch(
@@ -431,41 +398,23 @@ impl MemoryBackend for ShardedEngine {
             let r = self.register(s, access.kind, r);
             results.push(r);
         }
-        for s in 0..self.shards.len() {
-            if !self.split[s].is_empty() {
-                self.refresh_bound(s, now);
-            }
-        }
     }
 
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
         self.last_now = self.last_now.max(target);
         let start = completions.len();
-        if self.advance.is_event_driven() {
-            // Step only the shards whose registered bound is due; the
-            // rest provably surface nothing in the window and keep
-            // lagging. Due shards are stepped in shard-index order so the
-            // merged completion order is a function of the simulated
-            // state, not of heap insertion history (batched and per-call
-            // ingestion register bounds in different orders but must
-            // stay observationally identical).
-            let mut due_now = std::mem::take(&mut self.due_now);
-            due_now.clear();
-            while let Some((at, s)) = self.due.pop_due(target) {
-                if self.bounds[s] != at {
-                    continue; // stale entry superseded by an earlier bound
-                }
-                self.bounds[s] = u64::MAX;
-                due_now.push(s);
-            }
-            due_now.sort_unstable();
-            for &s in &due_now {
-                self.advance_shard_to(s, target, completions);
-            }
-            self.due_now = due_now;
-        } else {
-            // Per-cycle reference semantics: every shard steps every call.
-            for s in 0..self.shards.len() {
+        let event_driven = self.advance.is_event_driven();
+        for s in 0..self.shards.len() {
+            // Event-driven: step only the shards with a completion due by
+            // `target` (asked at `target - 1`, whose `now + 1` floor is
+            // `target` itself); the rest provably surface nothing in the
+            // window and keep lagging. Per-cycle reference: every shard
+            // steps every call.
+            if !event_driven
+                || self.shards[s]
+                    .next_completion_event(target.saturating_sub(1))
+                    .is_some_and(|at| at <= target)
+            {
                 self.advance_shard_to(s, target, completions);
             }
         }
@@ -548,7 +497,7 @@ mod tests {
         drive_to_completion(&mut e, t, 101);
         let ticks = e.shard_tick_counts();
         assert!(ticks[0] > 0, "active shard must step");
-        assert_eq!(&ticks[1..], &[0, 0, 0], "idle shards never enter the heap");
+        assert_eq!(&ticks[1..], &[0, 0, 0], "idle shards never come due");
     }
 
     #[test]

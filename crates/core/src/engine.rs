@@ -326,10 +326,12 @@ impl SecurityEngine {
     /// queue for the next [`MemoryBackend::advance_to`].
     ///
     /// A multi-channel front-end that left this engine lagging while its
-    /// [`MemoryBackend::next_event`] bound was in the future (so the
-    /// skipped cycles were provably observation-free) uses this to catch
-    /// a lagging shard up before reading its statistics; the deferred
-    /// catch-up is cycle-identical to having advanced every cycle.
+    /// [`MemoryBackend::next_completion_event`] bound was in the future
+    /// (so no completion was skipped, and any queue-space change is
+    /// observed through this engine's own `submit`, which catches up
+    /// first) uses this to catch a lagging shard up before reading its
+    /// statistics; the deferred catch-up is cycle-identical to having
+    /// advanced every cycle.
     pub fn sync_to(&mut self, now: u64) {
         let mem_due = self.mem_cycle_for(now);
         self.advance(mem_due);

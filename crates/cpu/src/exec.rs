@@ -3,18 +3,20 @@
 //! [`CoreEngine`] is one ROB-limited OOO core with its private L1D and
 //! stream prefetcher, advanced one cycle at a time against a *borrowed*
 //! shared LLC and a *borrowed* [`MemoryBackend`]. Everything that is
-//! per-core run state (trace exhaustion, the stalled op, the idle-skip
-//! heuristics) lives inside the engine, so its caller — the scheduler in
+//! per-core run state (trace exhaustion, the stalled op, refused
+//! writebacks) lives inside the engine, so its caller — the scheduler in
 //! [`crate::sched`], the workspace's one core run loop — owns only the
 //! clock, the LLC, and the backend, and interleaves N engines by
 //! next-event time ([`crate::system::CpuSystem`] is the `N = 1` case).
 //!
-//! The event-driven contract: [`CoreEngine::wake_bound`] is a lower
-//! bound on the next cycle at which this core's per-cycle step could do
-//! any work, and [`CoreEngine::sleep_plan`] — the only idle-skip policy —
-//! turns it into a sleep the scheduler may honour (skipping the core, or
-//! the whole simulation, up to that cycle) while staying bit-identical
-//! to lock-step semantics.
+//! The event-driven contract: [`CoreEngine::sleep_plan`] — the only
+//! idle-skip policy — turns an idle core into a sleep the scheduler may
+//! honour (skipping the core, or the whole simulation, up to its wake-up)
+//! while staying bit-identical to lock-step semantics. An exact sleep
+//! waits on the core's own completions and its retire cycle; a sleep
+//! blocked on backend capacity waits until [`CoreEngine::wake_bound`],
+//! a lower bound on the next cycle at which the core's per-cycle step
+//! could do any work.
 
 use std::collections::VecDeque;
 
@@ -26,15 +28,6 @@ use crate::prefetcher::StreamPrefetcher;
 use crate::system::{AccessKind, BatchAccess, Busy, MemoryBackend, SimResult};
 use crate::trace::TraceOp;
 
-/// A computed wake-up must skip at least this many cycles to count as
-/// paying for its own bound computation (drives the backoff heuristic).
-const MIN_SKIP_YIELD: u64 = 16;
-
-/// Number of consecutive idle cycles before a capacity-bound sleep starts
-/// probing skip bounds: short bubbles are cheaper to simulate than to
-/// analyze.
-const MIN_IDLE_STREAK: u32 = 16;
-
 #[derive(Debug)]
 struct Outstanding {
     waiters: Vec<u64>, // ROB sequence numbers
@@ -43,10 +36,6 @@ struct Outstanding {
 }
 
 /// What one [`CoreEngine::step`] did, for the scheduler above it.
-///
-/// (Whether the step *progressed* stays internal: it only feeds the
-/// core's own idle-streak gating, which [`CoreEngine::sleep_plan`]
-/// already encapsulates for the scheduler.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// The step submitted at least one *accepted* access to the backend.
@@ -105,14 +94,6 @@ pub struct CoreEngine {
     /// Line of the most recent dependent load still in flight (serializes
     /// pointer-chase chains).
     chase_outstanding: Option<u64>,
-    /// Exponential backoff for skip attempts in event-dense phases where
-    /// the bounds keep yielding tiny skips (heuristic only — never
-    /// affects simulated results, just when bounds are computed).
-    skip_backoff: u32,
-    /// Remaining idle cycles to run per-cycle before probing again.
-    skip_cooldown: u32,
-    /// Consecutive do-nothing cycles so far (gates bound probing).
-    idle_streak: u32,
     /// The trace iterator ran dry.
     trace_done: bool,
     /// Cycle at which the finish condition first held.
@@ -143,9 +124,6 @@ impl CoreEngine {
             pending_writebacks: VecDeque::new(),
             stalled_op: None,
             chase_outstanding: None,
-            skip_backoff: 0,
-            skip_cooldown: 0,
-            idle_streak: 0,
             trace_done: false,
             finished_at: None,
             llc_stats: CacheStats::default(),
@@ -175,15 +153,14 @@ impl CoreEngine {
         self.finished_at.is_some()
     }
 
-    /// Re-arms the core for another trace: clears trace exhaustion, the
-    /// recorded finish cycle, and the idle streak — the per-run state. A
+    /// Re-arms the core for another trace: clears trace exhaustion and the
+    /// recorded finish cycle — the per-run state. A
     /// subsequent run then continues *cumulatively* (warm caches,
     /// continuing clock, accumulating statistics); without this re-arm a
     /// drained core treats any further trace as already finished.
     pub fn begin_trace(&mut self) {
         self.trace_done = false;
         self.finished_at = None;
-        self.idle_streak = 0;
     }
 
     /// The core's results so far. `cycles` is the cycle the finish
@@ -216,12 +193,10 @@ impl CoreEngine {
     ) -> StepOutcome {
         let llc_before = *llc.stats();
         self.step_submitted = false;
-        let mut progressed = false;
 
         // 1. Memory completions.
         for &token in completions {
             self.handle_completion(token, llc, backend, now);
-            progressed = true;
         }
 
         // 2. Retry refused writebacks — as one batch (the backend's
@@ -242,7 +217,6 @@ impl CoreEngine {
                 let mut kept = 0;
                 for (i, result) in self.batch_results.iter().enumerate() {
                     if result.is_ok() {
-                        progressed = true;
                         self.step_submitted = true;
                     } else {
                         let addr = self.pending_writebacks[i];
@@ -255,7 +229,6 @@ impl CoreEngine {
                 while let Some(&wb) = self.pending_writebacks.front() {
                     if backend.submit(AccessKind::Write, wb, now, false).is_ok() {
                         self.pending_writebacks.pop_front();
-                        progressed = true;
                         self.step_submitted = true;
                     } else {
                         break;
@@ -265,9 +238,7 @@ impl CoreEngine {
         }
 
         // 3. Retire.
-        let retired = self.rob.retire(self.cfg.retire_width, now);
-        self.instructions += retired;
-        progressed |= retired > 0;
+        self.instructions += self.rob.retire(self.cfg.retire_width, now);
 
         // 4. Dispatch.
         let mut budget = self.cfg.dispatch_width;
@@ -295,9 +266,6 @@ impl CoreEngine {
                 }
             }
         }
-
-        progressed |= budget < self.cfg.dispatch_width;
-        self.idle_streak = if progressed { 0 } else { self.idle_streak + 1 };
 
         // 5. Termination.
         let finished = self.trace_done
@@ -339,6 +307,10 @@ impl CoreEngine {
     ///   frees when the backend makes progress) cannot happen before
     ///   [`MemoryBackend::next_event`].
     ///
+    /// Only capacity waits (a refused writeback or a Busy-stalled op) ask
+    /// for this bound: exact waits sleep on routed completions and
+    /// retirement alone (see [`Self::sleep_plan`]).
+    ///
     /// The bound is computed against the backend's *current* state; a
     /// later accepted submission (by this core or, under a shared
     /// backend, any other core) invalidates it, so the scheduler must
@@ -359,21 +331,16 @@ impl CoreEngine {
             }
             bound = bound.min(t);
         }
-        // Backend queue-space changes are only observable through a
-        // blocked writeback or a Busy-stalled op; a pure completion wait
-        // can use the (often much larger) completion bound, and a load
-        // stalled on read capacity the read-issue bound.
-        let busy_stalled = self.busy_stalled();
-        let backend_bound = if !self.pending_writebacks.is_empty()
-            || matches!(busy_stalled, Some(TraceOp::Store(_)))
-        {
-            // Write-queue capacity must be watched at full granularity.
-            backend.next_event(now)
-        } else if let Some(TraceOp::Load(addr) | TraceOp::DependentLoad(addr)) = busy_stalled {
-            let line = addr & !(self.cfg.line_bytes - 1);
-            backend.next_read_capacity_event(now, line)
-        } else {
-            backend.next_completion_event(now)
+        // A load stalled on read capacity waits for the read-issue bound;
+        // write-queue capacity (a refused writeback or a Busy store) must
+        // be watched at full granularity.
+        let backend_bound = match self.busy_stalled() {
+            Some(TraceOp::Load(addr) | TraceOp::DependentLoad(addr))
+                if self.pending_writebacks.is_empty() =>
+            {
+                backend.next_read_capacity_event(now, addr & !(self.cfg.line_bytes - 1))
+            }
+            _ => backend.next_event(now),
         };
         if let Some(t) = backend_bound {
             bound = bound.min(t);
@@ -425,12 +392,10 @@ impl CoreEngine {
     /// which the scheduler already delivers as exact routed events. Such
     /// a sleep needs no backend probe at all, never fires spuriously, and
     /// stays valid across other cores' submissions. Capacity waits are
-    /// only *bounded* by the shared backend's queue-space events, so they
-    /// carry `capacity: true` (refresh-on-submit) and are gated by an
-    /// idle-streak threshold plus exponential backoff in event-dense
-    /// phases — the probe folds DRAM state and must pay for itself
-    /// (wall-clock only, never simulated results).
-    pub fn sleep_plan<B: MemoryBackend>(&mut self, now: u64, backend: &B) -> SleepPlan {
+    /// only *bounded* by the shared backend's queue-space events: they
+    /// sleep to [`Self::wake_bound`] and carry `capacity: true`
+    /// (refresh-on-submit).
+    pub fn sleep_plan<B: MemoryBackend>(&self, now: u64, backend: &B) -> SleepPlan {
         if !self.dispatch_idle() {
             return SleepPlan::Run;
         }
@@ -447,30 +412,12 @@ impl CoreEngine {
                 capacity: false,
             };
         }
-        if self.idle_streak < MIN_IDLE_STREAK {
-            return SleepPlan::Run;
-        }
-        if self.skip_cooldown > 0 {
-            self.skip_cooldown -= 1;
-            return SleepPlan::Run;
-        }
-        let Some(wake) = self.wake_bound(now, backend) else {
-            return SleepPlan::Run;
-        };
-        let skip_yield = wake.saturating_sub(now + 1);
-        if skip_yield >= MIN_SKIP_YIELD {
-            self.skip_backoff = 0;
-        } else {
-            self.skip_backoff = (self.skip_backoff * 2 + 1).min(256);
-            self.skip_cooldown = self.skip_backoff;
-        }
-        if wake > now + 1 {
-            SleepPlan::Sleep {
+        match self.wake_bound(now, backend) {
+            Some(wake) if wake > now + 1 => SleepPlan::Sleep {
                 wake_at: Some(wake),
                 capacity: true,
-            }
-        } else {
-            SleepPlan::Run
+            },
+            _ => SleepPlan::Run,
         }
     }
 

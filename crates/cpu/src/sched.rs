@@ -36,19 +36,23 @@
 //! *Exact* sleeps (no backend-capacity involvement) wait only on the
 //! core's own routed completions and its in-order retire cycle — they
 //! never fire spuriously and stay valid across other cores' activity.
-//! *Capacity* sleeps are bounded by shared queue-space events, so after
-//! any cycle with an accepted submission the scheduler re-derives just
-//! the capacity sleepers' bounds (keeping the earlier) plus the backend
-//! bound — the mutated backend can owe them an earlier wake-up. During
-//! all-asleep windows nothing submits, so every registered bound stays
-//! valid and the global jump is sound. Results are bit-identical to
+//! *Capacity* sleeps (a refused writeback or a Busy-stalled op) sleep
+//! to [`CoreEngine::wake_bound`], a bound on shared queue-space events,
+//! from their first idle step. After any cycle with an accepted
+//! submission the scheduler re-derives just the capacity sleepers'
+//! bounds (keeping the earlier) plus the backend bound — the mutated
+//! backend can owe them an earlier wake-up. During all-asleep windows
+//! nothing submits, so every registered bound stays valid and the
+//! global jump is sound. Results are bit-identical to
 //! [`sim_kernel::Advance::PerCycle`], where every core steps every cycle
 //! against a backend advanced one cycle at a time.
 //!
 //! The backend side of each jump is block-advanced too: the DDR4
 //! controllers ride their exact *decision bound*
-//! (`DramSystem::tick_until`), executing only the cycles where a
-//! command can issue (completions land inside the skipped spans).
+//! (`DramSystem::skip_to_next_decision` plus `tick`), executing only the
+//! cycles where a command can issue (completions that land inside a
+//! skipped span are popped at their own finish cycles), and a
+//! `ShardedEngine` steps only the shards with a completion due.
 //! Saturated phases — where both
 //! policies used to converge on one controller tick per busy DRAM
 //! cycle — therefore no longer floor the wall-clock; the per-record
@@ -139,18 +143,6 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
 
     fn advance_to(&mut self, _target: u64, _completions: &mut Vec<(u64, u64)>) {
         unreachable!("cores never advance the shared backend; the scheduler does")
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.inner.next_event(now)
-    }
-
-    fn next_completion_event(&self, now: u64) -> Option<u64> {
-        self.inner.next_completion_event(now)
-    }
-
-    fn next_read_capacity_event(&self, now: u64, addr: u64) -> Option<u64> {
-        self.inner.next_read_capacity_event(now, addr)
     }
 }
 
@@ -682,6 +674,68 @@ mod tests {
         }
     }
 
+    /// A fixed-latency backend that refuses accesses with [`Busy`] while
+    /// `cap` accesses (reads and writes) are in flight, so cores take
+    /// capacity sleeps. Its `next_event` is the earliest finish: the
+    /// cycle a slot frees. Whether a submit is accepted depends only on
+    /// `now`, not on how recently the backend was advanced.
+    struct CappedBackend {
+        latency: u64,
+        cap: usize,
+        next_token: u64,
+        /// `(finish, token, is_read)`, ascending by finish (the latency
+        /// is fixed and submissions arrive in cycle order).
+        in_flight: std::collections::VecDeque<(u64, u64, bool)>,
+    }
+
+    impl CappedBackend {
+        fn new(latency: u64, cap: usize) -> Self {
+            Self {
+                latency,
+                cap,
+                next_token: 0,
+                in_flight: std::collections::VecDeque::new(),
+            }
+        }
+    }
+
+    impl MemoryBackend for CappedBackend {
+        fn submit(
+            &mut self,
+            kind: AccessKind,
+            _addr: u64,
+            now: u64,
+            _is_prefetch: bool,
+        ) -> Result<u64, Busy> {
+            let busy = self.in_flight.iter().filter(|&&(at, ..)| at > now).count();
+            if busy >= self.cap {
+                return Err(Busy);
+            }
+            let token = self.next_token;
+            self.next_token += 1;
+            let is_read = kind == AccessKind::Read;
+            self.in_flight
+                .push_back((now + self.latency, token, is_read));
+            Ok(token)
+        }
+
+        fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
+            while let Some(&(at, token, is_read)) = self.in_flight.front() {
+                if at > target {
+                    break;
+                }
+                self.in_flight.pop_front();
+                if is_read {
+                    completions.push((at, token));
+                }
+            }
+        }
+
+        fn next_event(&self, _now: u64) -> Option<u64> {
+            self.in_flight.front().map(|&(at, ..)| at)
+        }
+    }
+
     #[test]
     fn single_core_event_driven_matches_per_cycle() {
         let trace = mixed_trace(0xA5, 3_000);
@@ -703,6 +757,30 @@ mod tests {
             sys.run(traces.iter().map(|t| t.iter().copied()).collect())
         };
         assert_eq!(run(Advance::ToNextEvent), run(Advance::PerCycle));
+    }
+
+    #[test]
+    fn busy_backpressure_event_driven_matches_per_cycle() {
+        for cores in [1, 3] {
+            let traces: Vec<Vec<TraceOp>> =
+                (0..cores).map(|c| mixed_trace(c * 7 + 3, 2_000)).collect();
+            let run = |advance| {
+                let mut sys =
+                    MultiCoreSystem::new(cores as usize, cfg(advance), CappedBackend::new(200, 6));
+                let result = sys.run(traces.iter().map(|t| t.iter().copied()).collect());
+                (result, sys.wake_reasons())
+            };
+            let (fast, wake) = run(Advance::ToNextEvent);
+            let (reference, _) = run(Advance::PerCycle);
+            assert_eq!(
+                fast, reference,
+                "{cores} cores: capacity sleeps must not change results"
+            );
+            assert!(
+                wake.spurious + wake.submit_rederive > 0,
+                "{cores} cores: some core slept on backend capacity: {wake:?}"
+            );
+        }
     }
 
     #[test]

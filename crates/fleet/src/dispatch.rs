@@ -15,10 +15,11 @@
 //! Requeue-on-death is sound because the simulator is deterministic: a
 //! cell re-run on another worker is proven to produce the bit-identical
 //! payload, so a worker crash mid-cell costs latency, never
-//! correctness. Worker death is detected by reader EOF and by a failed
-//! write, whether of a dispatched cell or of the periodic ping. Pongs
-//! are not read, so the ping only catches a link whose write fails, not
-//! a worker that is connected but stuck. Every in-flight cell of a dead
+//! correctness. Worker death is detected by reader EOF, by a worker line
+//! longer than [`MAX_REQUEST_LINE`](secddr_service::net::MAX_REQUEST_LINE),
+//! and by a failed write, whether of a dispatched cell or of the
+//! periodic ping. Pongs are not read, so the ping only catches a link
+//! whose write fails, not a worker that is connected but stuck. Every in-flight cell of a dead
 //! worker goes back to the front of the pending queue.
 //!
 //! Job events are written and read by the service's codec
@@ -34,7 +35,7 @@
 //! started → cell (in index order) → finished/cancelled/failed.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -42,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use secddr_service::net::{cell_body, cell_event, cell_merged, event_to_json};
+use secddr_service::net::{cell_body, cell_event, cell_merged, event_to_json, read_capped_line};
 use secddr_service::{JobEvent, JobId, JobSpec, JobSummary, Json, WireEvent};
 use secddr_telemetry::{Counter, Gauge, Registry};
 
@@ -661,30 +662,33 @@ fn scheduler_loop(mut core: Core, rx: mpsc::Receiver<Msg>) {
     }
 }
 
+/// Forwards each line a worker writes to the scheduler. End of stream,
+/// a read error, bytes that are not UTF-8, or a line longer than
+/// [`MAX_REQUEST_LINE`](secddr_service::net::MAX_REQUEST_LINE) all count
+/// as the worker's death, so a worker that streams without newlines
+/// cannot grow the dispatcher's memory: its cells requeue and the link is
+/// torn down.
 fn reader_loop(idx: usize, stream: TcpStream, tx: mpsc::Sender<Msg>) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {
-                let _ = tx.send(Msg::WorkerGone { worker: idx });
-                return;
-            }
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if tx
-                    .send(Msg::FromWorker {
-                        worker: idx,
-                        line: line.clone(),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+        let text = match read_capped_line(&mut reader, &mut line) {
+            Ok(true) => std::str::from_utf8(&line).ok(),
+            Ok(false) | Err(_) => None,
+        };
+        let Some(text) = text else {
+            let _ = tx.send(Msg::WorkerGone { worker: idx });
+            return;
+        };
+        if text.trim().is_empty() {
+            continue;
+        }
+        let msg = Msg::FromWorker {
+            worker: idx,
+            line: text.to_owned(),
+        };
+        if tx.send(msg).is_err() {
+            return;
         }
     }
 }

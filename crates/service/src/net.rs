@@ -311,6 +311,30 @@ fn write_line(writer: &Mutex<TcpStream>, json: &Json) -> std::io::Result<()> {
 /// closed, so no client can grow the server's memory without limit.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
+/// Reads one line of at most [`MAX_REQUEST_LINE`] bytes plus its newline
+/// into `line` (cleared first); `Ok(false)` means end of stream. The
+/// server reads requests and the fleet dispatcher reads worker lines
+/// through it.
+///
+/// # Errors
+///
+/// Read errors, and [`std::io::ErrorKind::InvalidData`] for a longer
+/// line, whose rest stays unread.
+pub fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("line exceeds {MAX_REQUEST_LINE} bytes"),
+        ));
+    }
+    Ok(true)
+}
+
 /// One job's wire events in stream order, ending with its terminal
 /// event. Dropping it before the end means the client went away.
 pub type EventStream = Box<dyn Iterator<Item = Json> + Send>;
@@ -492,23 +516,21 @@ fn handle_connection<H: LineHandler>(stream: TcpStream, handler: &H, shutdown: &
     let mut reader = BufReader::new(read_half);
     let mut line = Vec::new();
     loop {
-        line.clear();
-        let limit = MAX_REQUEST_LINE as u64 + 1;
-        match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => return, // disconnected
-            Ok(_) => {}
-        }
-        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
-            let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-            let _ = write_line(&writer, &error_json(message));
-            // FIN right behind the error line: the client reads the
-            // reply and then end-of-stream, even though the rest of its
-            // line is never read.
-            let _ = writer
-                .lock()
-                .expect("writer lock")
-                .shutdown(Shutdown::Write);
-            return;
+        match read_capped_line(&mut reader, &mut line) {
+            Ok(true) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let _ = write_line(&writer, &error_json(message));
+                // FIN right behind the error line: the client reads the
+                // reply and then end-of-stream, even though the rest of
+                // its line is never read.
+                let _ = writer
+                    .lock()
+                    .expect("writer lock")
+                    .shutdown(Shutdown::Write);
+                return;
+            }
+            Ok(false) | Err(_) => return, // disconnected
         }
         let Ok(text) = std::str::from_utf8(&line).map(str::trim) else {
             return; // not a text protocol client

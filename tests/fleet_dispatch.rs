@@ -5,7 +5,9 @@
 //! back-to-back jobs with millisecond cells all finish and leave the
 //! dispatcher's job table empty, killing one
 //! of N workers requeues its work and completes the job with correct
-//! results, and small jobs finish well under the ~40 ms a delayed ACK
+//! results, a worker that answers with an endless unterminated line is
+//! treated as dead instead of growing the dispatcher's memory, and small
+//! jobs finish well under the ~40 ms a delayed ACK
 //! would add to every line-protocol exchange.
 
 use secddr::core::config::SecurityConfig;
@@ -15,8 +17,9 @@ use secddr::service::{
     ExperimentServer, ExperimentService, JobSpec, Json, ServiceClient, ShutdownHandle, WireEvent,
 };
 use secddr::Registry;
-use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Serializes the tests in this binary: the fleet counters the
@@ -277,6 +280,80 @@ fn killing_one_of_two_workers_requeues_and_completes_identically() {
     assert!(
         counter_delta(&after, &before, "fleet.cells.requeued") >= 1,
         "the dead worker's cell went back to the queue"
+    );
+}
+
+/// A fake worker that answers its first `submit` with 2 MiB and no
+/// newline, then holds the link open until the dispatcher closes it.
+/// Its thread returns whether a submit arrived.
+fn spawn_flooding_worker() -> (SocketAddr, std::thread::JoinHandle<bool>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+    let addr = listener.local_addr().expect("bound address");
+    let flood = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("dispatcher connects");
+        stream
+            .set_write_timeout(Some(Duration::from_secs(30)))
+            .expect("write timeout");
+        let mut writer = stream.try_clone().expect("clone stream");
+        let mut got_submit = false;
+        for line in BufReader::new(stream).lines() {
+            let Ok(line) = line else { break };
+            if !got_submit && line.contains("\"submit\"") {
+                got_submit = true;
+                // The dispatcher tears the link down part-way through,
+                // so the write may fail; either way, keep reading to EOF.
+                let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+            }
+        }
+        got_submit
+    });
+    (addr, flood)
+}
+
+#[test]
+fn over_long_worker_line_counts_as_death_and_requeues() {
+    let _guard = serialize();
+    let (fake_addr, flood) = spawn_flooding_worker();
+    let worker = WorkerGuard::start(1);
+    let spec = two_config_spec();
+    let expected = reference_lines(&spec);
+
+    let before = Registry::global().snapshot().counters;
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        // The fake worker is first, so it receives the first cell.
+        workers: vec![fake_addr.to_string(), worker.addr.to_string()],
+        max_outstanding: 1,
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let handle = dispatcher.submit(&spec).expect("submit");
+    // Wait on a side thread so a dispatcher that never notices the
+    // flood fails the test instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    let events = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("job finishes on the real worker");
+    waiter.join().expect("waiter thread");
+    let after = Registry::global().snapshot().counters;
+
+    assert!(
+        flood.join().expect("fake worker thread"),
+        "fake worker got a cell"
+    );
+    assert_eq!(
+        fleet_lines(events),
+        expected,
+        "requeued job is bit-identical"
+    );
+    let status = dispatcher.workers();
+    assert!(!status[0].alive, "flooding worker is reported dead");
+    assert!(status[1].alive, "real worker is still up");
+    assert!(
+        counter_delta(&after, &before, "fleet.cells.requeued") >= 1,
+        "the flooding worker's cell went back to the queue"
     );
 }
 
