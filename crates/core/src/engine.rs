@@ -178,6 +178,9 @@ pub struct SecurityEngine {
     /// Completed reads, scheduled at the CPU cycle they become visible.
     ready: EventQueue<u64>,
     pending_md_writes: VecDeque<u64>,
+    /// Scratch buffer for the channel completions one [`Self::advance`]
+    /// harvests; empty between calls, kept for its capacity.
+    landed: Vec<Completion>,
     stats: EngineStats,
     options: EngineOptions,
     /// CPU-cycle epoch width the channel series was enabled at (`None`
@@ -264,6 +267,7 @@ impl SecurityEngine {
             min_extra_in_flight: u64::MAX,
             ready: EventQueue::new(),
             pending_md_writes: VecDeque::new(),
+            landed: Vec::new(),
             stats: EngineStats::default(),
             options,
             series_width_cpu: None,
@@ -548,23 +552,31 @@ impl SecurityEngine {
     /// full), and when the queue is full the retry provably fails until a
     /// column command issues, which is itself a decision cycle the skip
     /// never jumps over.
+    ///
+    /// Both the skips and the executed ticks
+    /// ([`DramSystem::tick_into`]) append into the engine's one kept
+    /// completion buffer, drained after each step, so a steady-state
+    /// advance allocates nothing.
     fn advance(&mut self, mem_due: u64) {
         let event_driven = self.options.advance.is_event_driven();
-        let mut skipped = Vec::new();
+        // Taken out so `harvest` can borrow `self`; put back below with
+        // its capacity.
+        let mut landed = std::mem::take(&mut self.landed);
         while self.dram.cycle() < mem_due {
             if event_driven
                 && (self.pending_md_writes.is_empty()
                     || self.dram.write_queue_len() >= self.dram.config().write_queue)
             {
-                self.dram.skip_to_next_decision(mem_due, &mut skipped);
-                for completion in skipped.drain(..) {
+                self.dram.skip_to_next_decision(mem_due, &mut landed);
+                for completion in landed.drain(..) {
                     self.harvest(completion);
                 }
                 if self.dram.cycle() >= mem_due {
                     break;
                 }
             }
-            for completion in self.dram.tick() {
+            self.dram.tick_into(&mut landed);
+            for completion in landed.drain(..) {
                 self.harvest(completion);
             }
             // Retry spilled metadata writebacks.
@@ -584,6 +596,7 @@ impl SecurityEngine {
                 }
             }
         }
+        self.landed = landed;
     }
 
     /// Routes one landed DRAM part to its transaction, scheduling the

@@ -100,7 +100,10 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways back to back (`sets × ways` lines in one block);
+    /// set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    ways: usize,
     stamp: u64,
     stats: CacheStats,
     set_mask: u64,
@@ -119,19 +122,16 @@ impl Cache {
             sets.is_power_of_two(),
             "cache must have a power-of-two set count"
         );
+        let ways = cfg.ways as usize;
+        let empty = Line {
+            tag: 0,
+            valid: false,
+            dirty: false,
+            lru: 0,
+        };
         Self {
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    cfg.ways as usize
-                ];
-                sets
-            ],
+            lines: vec![empty; sets * ways],
+            ways,
             stamp: 0,
             stats: CacheStats::default(),
             set_mask: sets as u64 - 1,
@@ -159,15 +159,27 @@ impl Cache {
         )
     }
 
+    /// The ways of set `set`, in way order.
+    #[inline]
+    fn set(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        &mut self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
     /// Looks up `addr`; on a hit updates recency (and the dirty bit when
     /// `is_write`). Returns `true` on hit. Misses are *not* auto-filled —
     /// call [`Self::fill`] when the miss returns.
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.stamp += 1;
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
+        let stamp = self.stamp;
+        for line in self.set_mut(set) {
             if line.valid && line.tag == tag {
-                line.lru = self.stamp;
+                line.lru = stamp;
                 line.dirty |= is_write;
                 self.stats.hits += 1;
                 return true;
@@ -180,7 +192,7 @@ impl Cache {
     /// Checks residency without touching recency or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.set(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Installs the line holding `addr`, returning the evicted dirty line's
@@ -190,31 +202,38 @@ impl Cache {
         self.stamp += 1;
         let (set, tag) = self.index(addr);
         // Already present (e.g. a racing fill): just update.
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.stamp;
+        let stamp = self.stamp;
+        if let Some(line) = self
+            .set_mut(set)
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)
+        {
+            line.lru = stamp;
             line.dirty |= is_write;
             return None;
         }
-        let stamp = self.stamp;
-        let victim = self.sets[set]
+        let set_bits = self.set_mask.count_ones();
+        let line_shift = self.line_shift;
+        // The first least-recent way in way order (invalid ways first).
+        let victim = self
+            .set_mut(set)
             .iter_mut()
             .min_by_key(|l| if l.valid { l.lru } else { 0 })
             .expect("ways >= 1");
         let evicted = if victim.valid && victim.dirty {
-            let set_bits = self.set_mask.count_ones();
-            Some((victim.tag << set_bits | set as u64) << self.line_shift)
+            Some((victim.tag << set_bits | set as u64) << line_shift)
         } else {
             None
         };
-        if evicted.is_some() {
-            self.stats.writebacks += 1;
-        }
         *victim = Line {
             tag,
             valid: true,
             dirty: is_write,
             lru: stamp,
         };
+        if evicted.is_some() {
+            self.stats.writebacks += 1;
+        }
         evicted
     }
 
@@ -230,7 +249,7 @@ impl Cache {
     /// Invalidates the line holding `addr`, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
+        for line in self.set_mut(set) {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 return line.dirty;

@@ -85,6 +85,11 @@ pub struct CoreEngine {
     instructions: u64,
     /// line address -> outstanding miss state
     outstanding: FxHashMap<u64, Outstanding>,
+    /// Cleared waiter lists of completed misses, each with its buffer,
+    /// recycled into new demand misses and MSHR merges so the miss path
+    /// allocates only while the core reaches a new peak of outstanding
+    /// misses.
+    spare_waiters: Vec<Vec<u64>>,
     /// backend token -> line address
     token_line: FxHashMap<u64, u64>,
     /// Writebacks the backend refused; retried each cycle.
@@ -120,6 +125,7 @@ impl CoreEngine {
             rob: Rob::new(cfg.rob_entries),
             instructions: 0,
             outstanding: FxHashMap::default(),
+            spare_waiters: Vec::new(),
             token_line: FxHashMap::default(),
             pending_writebacks: VecDeque::new(),
             stalled_op: None,
@@ -458,6 +464,10 @@ impl CoreEngine {
                 if let Some(pending) = self.outstanding.get_mut(&line) {
                     // MSHR merge into the in-flight miss (not a new miss).
                     let seq = self.rob.push_load(None);
+                    if pending.waiters.capacity() == 0 {
+                        // A prefetch or RFO entry's first waiter.
+                        pending.waiters = self.spare_waiters.pop().unwrap_or_default();
+                    }
                     pending.waiters.push(seq);
                     pending.prefetch = false;
                     if dependent {
@@ -474,10 +484,12 @@ impl CoreEngine {
                         Ok(token) => {
                             self.step_submitted = true;
                             let seq = self.rob.push_load(None);
+                            let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+                            waiters.push(seq);
                             self.outstanding.insert(
                                 line,
                                 Outstanding {
-                                    waiters: vec![seq],
+                                    waiters,
                                     fill_write: false,
                                     prefetch: false,
                                 },
@@ -643,8 +655,16 @@ impl CoreEngine {
             self.fill_l1(line, out.fill_write, llc, backend, now);
         }
         let wake_at = now + self.cfg.fill_latency;
-        for seq in out.waiters {
+        let mut waiters = out.waiters;
+        for seq in waiters.drain(..) {
             self.rob.mark_ready(seq, wake_at);
+        }
+        // Keep only lists that own a buffer (prefetch and RFO entries
+        // carry empty ones). A list is allocated only when no spare is
+        // left, so spares plus live lists never exceed the core's peak
+        // count of outstanding misses.
+        if waiters.capacity() > 0 {
+            self.spare_waiters.push(waiters);
         }
     }
 

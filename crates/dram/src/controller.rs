@@ -3,8 +3,10 @@
 //! The controller exposes two advance interfaces over the same state
 //! machine:
 //!
-//! * [`DramSystem::tick`] — the per-cycle reference: advance one memory
-//!   cycle, issue at most one command, harvest due completions.
+//! * [`DramSystem::tick_into`] — the per-cycle reference: advance one
+//!   memory cycle, issue at most one command, and append the due
+//!   completions to a caller-kept buffer ([`DramSystem::tick`] wraps it
+//!   and returns a fresh vector).
 //! * [`DramSystem::tick_until`] — the event-driven path: jump between
 //!   *decision cycles* (see below), executing only the ticks that can
 //!   issue a command, flip write drain, or act on refresh, and popping
@@ -24,6 +26,14 @@
 //! the relevant FIFO) and the FR-FCFS decision reduces to
 //! "earliest-arrived ready candidate across banks" — O(banks) per tick
 //! instead of O(queue length) rescans.
+//!
+//! The queue state changes in place, so the per-command path never
+//! allocates once the buffers reach their peak: an ACT moves the opened
+//! row's entries from the bank's miss FIFO into its (empty) hit FIFO
+//! with a `retain`, a PRE appends the hits to the misses and sorts the
+//! unique indices back into arrival order, and tombstone compaction
+//! moves live entries down with a write cursor, renumbering the FIFOs
+//! through a remap buffer the queue keeps.
 //!
 //! The original full-rescan scheduler is retained as
 //! [`SchedulerMode::NaiveRescan`]; the differential tests drive both
@@ -187,7 +197,10 @@ pub enum SchedAction {
 /// Removal tombstones its slot instead of shifting the tail down, so a
 /// column issue is O(1) rather than O(queue) — indices stay monotone in
 /// arrival order (the FR-FCFS age comparisons are untouched) and the
-/// vector is compacted once tombstones outnumber live entries.
+/// vector is compacted once tombstones outnumber live entries. Every
+/// operation works in place on buffers the queue keeps (the FIFOs, the
+/// request vector and the compaction remap), so none allocates once
+/// they have grown to the queue's peak occupancy.
 #[derive(Debug)]
 struct SchedQueue {
     /// Queued requests in arrival order (position = FR-FCFS age);
@@ -212,6 +225,9 @@ struct SchedQueue {
     hit_mask: u64,
     /// Bit `fb` set iff `misses[fb]` is nonempty.
     miss_mask: u64,
+    /// [`Self::compact`]'s old-to-new position map, kept so compaction
+    /// reuses one buffer instead of allocating per call.
+    remap: Vec<u32>,
 }
 
 impl SchedQueue {
@@ -228,6 +244,7 @@ impl SchedQueue {
             misses: vec![VecDeque::new(); total_banks],
             hit_mask: 0,
             miss_mask: 0,
+            remap: Vec::new(),
         }
     }
 
@@ -316,70 +333,65 @@ impl SchedQueue {
         entry
     }
 
-    /// Drops tombstones, renumbering every FIFO through the (monotone,
-    /// hence order-preserving) old-to-new position map. Triggered once
+    /// Drops tombstones in place: a write cursor moves each live entry
+    /// down to the next free slot, recording its new position in the
+    /// queue-owned `remap` buffer, and every FIFO is renumbered through
+    /// that (monotone, hence order-preserving) map. Triggered once
     /// tombstones outnumber live entries, so the O(queue) cost amortizes
-    /// to O(1) per removal.
+    /// to O(1) per removal, and neither vector is reallocated.
     fn compact(&mut self) {
-        let mut map = vec![u32::MAX; self.q.len()];
-        let mut dense = Vec::with_capacity(self.q.len());
-        for (i, slot) in self.q.iter_mut().enumerate() {
-            if let Some(e) = slot.take() {
-                map[i] = dense.len() as u32;
-                dense.push(Some(e));
+        self.remap.clear();
+        self.remap.resize(self.q.len(), u32::MAX);
+        let mut write = 0;
+        for read in 0..self.q.len() {
+            if self.q[read].is_some() {
+                self.q.swap(write, read);
+                self.remap[read] = write as u32;
+                write += 1;
             }
         }
-        self.q = dense;
+        self.q.truncate(write);
+        let remap = &self.remap;
         for fifo in self.hits.iter_mut().chain(self.misses.iter_mut()) {
             for v in fifo.iter_mut() {
-                *v = map[*v as usize];
+                *v = remap[*v as usize];
             }
         }
         self.first_live.set(0);
     }
 
     /// Reclassifies a bank's entries after an ACT opened `row`: misses
-    /// targeting the new row become hits (the hit FIFO is empty — the
-    /// bank was closed).
+    /// targeting the new row move, in arrival order, into the hit FIFO
+    /// (empty — the bank was closed). In place: both FIFOs keep their
+    /// buffers.
     fn on_activate(&mut self, flat_bank: usize, row: u32) {
         debug_assert!(self.hits[flat_bank].is_empty());
-        let old = std::mem::take(&mut self.misses[flat_bank]);
-        for idx in old {
-            if self.req(idx as usize).decoded.row == row {
-                self.hits[flat_bank].push_back(idx);
-            } else {
-                self.misses[flat_bank].push_back(idx);
+        let q = &self.q;
+        let hits = &mut self.hits[flat_bank];
+        self.misses[flat_bank].retain(|&idx| {
+            let entry = q[idx as usize]
+                .as_ref()
+                .expect("FIFO index refers to a live entry");
+            let opened = entry.decoded.row == row;
+            if opened {
+                hits.push_back(idx);
             }
-        }
+            !opened
+        });
         self.set_masks(flat_bank);
     }
 
     /// Reclassifies a bank's entries after a PRE closed the row: former
-    /// hits merge back into the miss FIFO in arrival order.
+    /// hits merge back into the miss FIFO in arrival order. In place:
+    /// the hits are appended to the misses and the (unique) indices
+    /// sorted back into arrival order.
     fn on_precharge(&mut self, flat_bank: usize) {
         if self.hits[flat_bank].is_empty() {
             return;
         }
-        let hits = std::mem::take(&mut self.hits[flat_bank]);
-        let misses = std::mem::take(&mut self.misses[flat_bank]);
-        let mut merged = VecDeque::with_capacity(hits.len() + misses.len());
-        let mut hi = hits.into_iter().peekable();
-        let mut mi = misses.into_iter().peekable();
-        loop {
-            match (hi.peek(), mi.peek()) {
-                (Some(&h), Some(&m)) => {
-                    if h < m {
-                        merged.push_back(hi.next().expect("peeked"));
-                    } else {
-                        merged.push_back(mi.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => merged.push_back(hi.next().expect("peeked")),
-                (None, Some(_)) => merged.push_back(mi.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
-        self.misses[flat_bank] = merged;
+        let misses = &mut self.misses[flat_bank];
+        misses.extend(self.hits[flat_bank].drain(..));
+        misses.make_contiguous().sort_unstable();
         self.set_masks(flat_bank);
     }
 
@@ -402,8 +414,9 @@ impl SchedQueue {
 /// One DDR4 channel: banks, ranks, queues, scheduler, and data bus.
 ///
 /// Drive it with [`DramSystem::enqueue`] and advance time one memory-clock
-/// cycle at a time with [`DramSystem::tick`], which returns the requests
-/// whose final data beat transferred during that cycle.
+/// cycle at a time with [`DramSystem::tick_into`], which appends the
+/// requests whose final data beat transferred during that cycle to a
+/// caller-kept buffer.
 #[derive(Debug)]
 pub struct DramSystem {
     cfg: DramConfig,
@@ -982,7 +995,9 @@ impl DramSystem {
     }
 
     /// Advances to `target` executing only decision cycles, returning
-    /// every completion tagged with the cycle it landed on.
+    /// every completion tagged with the cycle it landed on (its
+    /// `finish_cycle`: skips pop completions at their own finish cycles,
+    /// and a tick pops only the ones due that cycle).
     ///
     /// Equivalent to `target - cycle()` sequential [`Self::tick`] calls
     /// — identical command schedules, statistics, and completion stream,
@@ -991,39 +1006,30 @@ impl DramSystem {
     /// so a *busy* channel executes O(commands) ticks instead of
     /// O(cycles).
     pub fn tick_until(&mut self, target: u64) -> Vec<(u64, Completion)> {
-        let mut done = Vec::new();
-        let mut skipped = Vec::new();
-        while self.clock.now() < target {
-            self.skip_to_next_decision(target, &mut skipped);
-            done.extend(skipped.drain(..).map(|c| (c.finish_cycle, c)));
-            if self.clock.now() >= target {
-                break;
-            }
-            let at = self.clock.now() + 1;
-            for c in self.tick() {
-                done.push((at, c));
-            }
-        }
-        done
+        self.advance_to(target, Advance::ToNextEvent)
+            .into_iter()
+            .map(|c| (c.finish_cycle, c))
+            .collect()
     }
 
     /// Advances to `target`, returning every completion on the way.
     ///
-    /// With [`Advance::ToNextEvent`] this rides [`Self::tick_until`],
-    /// executing only decision cycles (busy or idle); with
-    /// [`Advance::PerCycle`] it is exactly `target - cycle()` calls to
-    /// [`Self::tick`]. Both produce identical schedules and stats.
+    /// With [`Advance::ToNextEvent`] this executes only decision cycles
+    /// (busy or idle), jumping over the rest with
+    /// [`Self::skip_to_next_decision`]; with [`Advance::PerCycle`] it is
+    /// exactly `target - cycle()` ticks. Both produce identical schedules
+    /// and stats, and both append, through [`Self::tick_into`], into the
+    /// one returned buffer.
     pub fn advance_to(&mut self, target: u64, advance: Advance) -> Vec<Completion> {
-        if advance.is_event_driven() {
-            return self
-                .tick_until(target)
-                .into_iter()
-                .map(|(_, c)| c)
-                .collect();
-        }
         let mut done = Vec::new();
         while self.clock.now() < target {
-            done.extend(self.tick());
+            if advance.is_event_driven() {
+                self.skip_to_next_decision(target, &mut done);
+                if self.clock.now() >= target {
+                    break;
+                }
+            }
+            self.tick_into(&mut done);
         }
         done
     }
@@ -1107,7 +1113,24 @@ impl DramSystem {
 
     /// Advances one memory-clock cycle, possibly issuing one command, and
     /// returns every completion whose final data beat lands this cycle.
+    ///
+    /// A wrapper over [`Self::tick_into`] that allocates the returned
+    /// vector; hot loops call `tick_into` with a reused buffer instead.
     pub fn tick(&mut self) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.tick_into(&mut done);
+        done
+    }
+
+    /// Advances one memory-clock cycle, possibly issuing one command, and
+    /// appends every completion whose final data beat lands this cycle to
+    /// `done` (whatever `done` already held stays in front, untouched).
+    ///
+    /// The executed cycle is attributed to
+    /// [`DecisionCauses::completion`](crate::DecisionCauses::completion)
+    /// only when this tick itself appended data, so a caller may keep one
+    /// buffer across ticks and drain it at its own pace.
+    pub fn tick_into(&mut self, done: &mut Vec<Completion>) {
         let busy = !self.is_idle();
         let now = self.clock.tick();
         // Series epochs close on clock advance, before this tick records
@@ -1135,10 +1158,11 @@ impl DramSystem {
             (false, self.issue_scheduled())
         };
         let issued = refreshed || issued_hit.is_some();
-        let mut done = Vec::new();
+        let held = done.len();
         while let Some((_, c)) = self.pending.pop_due(now) {
             done.push(c);
         }
+        let landed = done.len() > held;
         // Attribute the executed cycle to exactly one cause (commands
         // first — they are what the tick *did*; the passive causes rank
         // by how directly they explain a command-free wake-up), so the
@@ -1152,7 +1176,7 @@ impl DramSystem {
             } else {
                 self.telemetry.causes.issue_miss += 1;
             }
-        } else if !done.is_empty() {
+        } else if landed {
             self.telemetry.causes.completion += 1;
         } else if drain_flipped {
             self.telemetry.causes.drain_flip += 1;
@@ -1166,7 +1190,6 @@ impl DramSystem {
         if issued {
             self.next_decision_cache.set(None);
         }
-        done
     }
 
     /// True when evaluating the drain hysteresis right now would flip
@@ -1773,6 +1796,120 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queue entry for request `id` on `flat_bank`, targeting `row`.
+    fn queued(id: u64, flat_bank: usize, row: u32) -> QueuedReq {
+        QueuedReq {
+            req: MemRequest::new(id, ReqKind::Read, 0, 0),
+            decoded: DecodedAddr {
+                rank: 0,
+                bank_group: 0,
+                bank: 0,
+                row,
+                column: 0,
+            },
+            flat_bank,
+            touched: false,
+        }
+    }
+
+    /// The request ids a FIFO names, front first.
+    fn fifo_ids(q: &SchedQueue, fifo: &VecDeque<u32>) -> Vec<u64> {
+        fifo.iter().map(|&i| q.req(i as usize).req.id).collect()
+    }
+
+    #[test]
+    fn precharge_merges_hits_back_in_arrival_order() {
+        let mut q = SchedQueue::new(4);
+        // Bank 1 interleaves hits and misses; bank 2 holds only hits.
+        for (id, is_hit) in [(0, true), (1, false), (2, true), (3, false), (4, true)] {
+            q.push(queued(id, 1, if is_hit { 5 } else { 7 }), is_hit);
+        }
+        q.push(queued(5, 2, 3), true);
+        assert_eq!(q.hit_mask, 0b110);
+        assert_eq!(q.miss_mask, 0b010);
+
+        q.on_precharge(1);
+        assert!(q.hits[1].is_empty());
+        assert_eq!(q.misses[1], [0, 1, 2, 3, 4]);
+        assert_eq!(q.hit_mask, 0b100);
+        assert_eq!(q.miss_mask, 0b010);
+
+        q.on_precharge(2);
+        assert!(q.hits[2].is_empty());
+        assert_eq!(q.misses[2], [5]);
+        assert_eq!(q.hit_mask, 0);
+        assert_eq!(q.miss_mask, 0b110);
+
+        // Nothing to merge: a no-op.
+        q.on_precharge(2);
+        assert_eq!(q.misses[2], [5]);
+        assert_eq!(q.miss_mask, 0b110);
+    }
+
+    #[test]
+    fn activate_splits_the_opened_rows_entries_off_in_order() {
+        let mut q = SchedQueue::new(4);
+        for (id, row) in [(0, 5), (1, 7), (2, 5), (3, 9), (4, 5)] {
+            q.push(queued(id, 3, row), false);
+        }
+        q.push(queued(5, 0, 5), false);
+        q.on_activate(3, 5);
+        assert_eq!(q.hits[3], [0, 2, 4]);
+        assert_eq!(q.misses[3], [1, 3]);
+        assert_eq!(q.hit_mask, 0b1000);
+        assert_eq!(q.miss_mask, 0b1001);
+
+        // Every entry of bank 0 targets the opened row: its miss bit clears.
+        q.on_activate(0, 5);
+        assert_eq!(q.hits[0], [5]);
+        assert!(q.misses[0].is_empty());
+        assert_eq!(q.hit_mask, 0b1001);
+        assert_eq!(q.miss_mask, 0b1000);
+    }
+
+    #[test]
+    fn compaction_keeps_every_fifo_naming_the_same_requests() {
+        let banks = 4;
+        let mut q = SchedQueue::new(banks);
+        // Expected FIFO contents as request ids, per bank.
+        let mut want_hits = vec![VecDeque::new(); banks];
+        let mut want_misses = vec![Vec::new(); banks];
+        for i in 0..24u64 {
+            let fb = (i % banks as u64) as usize;
+            let is_hit = i % 5 != 0;
+            q.push(queued(100 + i, fb, 1), is_hit);
+            if is_hit {
+                want_hits[fb].push_back(100 + i);
+            } else {
+                want_misses[fb].push(100 + i);
+            }
+        }
+        let hits: usize = want_hits.iter().map(VecDeque::len).sum();
+        let mut compactions = 0;
+        // Issue all but one row hit, bank by bank, checking every FIFO
+        // after each removal.
+        for _ in 1..hits {
+            let fb = (0..banks)
+                .find(|&b| !q.hits[b].is_empty())
+                .expect("a row hit is queued");
+            let slots = q.q.len();
+            let issued = q.remove_issued_hit(q.hits[fb][0] as usize);
+            assert_eq!(Some(issued.req.id), want_hits[fb].pop_front());
+            if q.q.len() < slots {
+                assert!(slots >= 16, "compaction below the 16-slot floor");
+                assert_eq!(q.q.len(), q.live, "compaction left a tombstone");
+                compactions += 1;
+            }
+            for b in 0..banks {
+                assert_eq!(want_hits[b], fifo_ids(&q, &q.hits[b]));
+                assert_eq!(fifo_ids(&q, &q.misses[b]), want_misses[b]);
+            }
+        }
+        assert!(compactions > 0, "the removals never compacted the queue");
+        let oldest = q.oldest().map(|(_, e)| e.req.id);
+        assert_eq!(oldest, Some(100), "the oldest entry survives compaction");
+    }
 
     fn run_until_done(dram: &mut DramSystem, max: u64) -> Vec<Completion> {
         let mut out = Vec::new();

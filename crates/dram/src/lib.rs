@@ -27,7 +27,7 @@
 //! dram.enqueue(MemRequest::new(1, ReqKind::Read, 0x4000, 0)).unwrap();
 //! let mut done = Vec::new();
 //! for _ in 0..200 {
-//!     done.extend(dram.tick());
+//!     dram.tick_into(&mut done);
 //! }
 //! assert_eq!(done.len(), 1);
 //! assert_eq!(done[0].id, 1);
