@@ -200,12 +200,14 @@ impl ShardedEngine {
     /// Turns on sim-time windowed series recording on every shard's
     /// channel at `epoch_width` CPU cycles per epoch (see
     /// [`SecurityEngine::enable_series`]). Opt-in and non-perturbing
-    /// like tracing.
+    /// like tracing. Syncs first, so a mid-run enable starts every
+    /// channel's series at the front-end's current cycle.
     ///
     /// # Panics
     ///
     /// Panics if `epoch_width` is zero.
     pub fn enable_series(&mut self, epoch_width: u64) {
+        self.sync();
         for shard in &mut self.shards {
             shard.enable_series(epoch_width);
         }

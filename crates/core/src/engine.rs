@@ -74,13 +74,11 @@ struct Transaction {
     extra_latency: u64,
 }
 
-/// Part-slot sentinel: enqueued traffic no transaction waits on
-/// (data/metadata writes, untracked parent fetches). Completes like any
-/// request but routes nowhere.
-const UNTRACKED_PART: u64 = u64::MAX - 1;
-/// Part-slot sentinel: already completed, or never enqueued (allocation
-/// raced a full queue) — the window's front can slide past it.
-const DEAD_PART: u64 = u64::MAX;
+/// DRAM request id of traffic no transaction waits on (data/metadata
+/// writes, untracked parent fetches). The channel only passes a
+/// request's id through to its [`Completion`], so ids need not be
+/// unique: a tracked part carries its read token, everything else this.
+const UNTRACKED: u64 = u64::MAX;
 /// `Transaction::remaining` placeholder for a read token between its
 /// allocation and its part count being known; nonzero so the window's
 /// front cannot slide past a transaction still being assembled.
@@ -151,19 +149,8 @@ pub struct SecurityEngine {
     cpu_mhz: u64,
     mem_mhz: u64,
     next_token: u64,
-    next_part: u64,
-    /// Owning token per part id, as a dense sliding window over the part
-    /// sequence: slot `p - part_base` holds the token of part `p`
-    /// ([`UNTRACKED_PART`] for traffic no transaction waits on,
-    /// [`DEAD_PART`] once completed or never enqueued). Parts complete
-    /// within the channel's bounded in-flight window, so the deque stays
-    /// small and routing a completion is one array store instead of a
-    /// hash-map remove on the busiest shared path in the simulator.
-    part_token: VecDeque<u64>,
-    /// Part id of `part_token`'s front slot.
-    part_base: u64,
-    /// In-flight read transactions, as the same dense sliding window
-    /// over the token sequence (`remaining == 0` marks a dead slot:
+    /// In-flight read transactions, as a dense sliding window over the
+    /// token sequence (`remaining == 0` marks a dead slot:
     /// a posted write's token or a completed read).
     transactions: VecDeque<Transaction>,
     /// Token id of `transactions`' front slot.
@@ -258,9 +245,6 @@ impl SecurityEngine {
             cpu_mhz: u64::from(cpu_mhz),
             mem_mhz,
             next_token: 0,
-            next_part: 0,
-            part_token: VecDeque::new(),
-            part_base: 0,
             transactions: VecDeque::new(),
             txn_base: 0,
             live_txns: 0,
@@ -377,15 +361,6 @@ impl SecurityEngine {
         }
     }
 
-    /// Allocates the next part id, recording `slot` (an owning token or a
-    /// sentinel) in the routing window.
-    fn alloc_part(&mut self, slot: u64) -> u64 {
-        let part = self.next_part;
-        self.next_part += 1;
-        self.part_token.push_back(slot);
-        part
-    }
-
     /// Allocates the next token id; a read passes `assembling` (its part
     /// count is filled in once the metadata walk is done), a posted write
     /// burns the id with a dead slot.
@@ -424,10 +399,10 @@ impl SecurityEngine {
             return false;
         }
         // Fetch from DRAM.
-        let part = self.next_part;
-        let slot = match self
+        let id = token.unwrap_or(UNTRACKED);
+        match self
             .dram
-            .enqueue(MemRequest::new(part, ReqKind::Read, line, now_mem))
+            .enqueue(MemRequest::new(id, ReqKind::Read, line, now_mem))
         {
             Ok(()) => {
                 if is_tree_node {
@@ -435,26 +410,19 @@ impl SecurityEngine {
                 } else {
                     self.stats.leaf_fetches += 1;
                 }
-                match token {
-                    Some(t) => {
-                        *parts += 1;
-                        t
-                    }
-                    None => UNTRACKED_PART,
+                if token.is_some() {
+                    *parts += 1;
                 }
             }
             Err(_) => {
+                // Untracked fetch under saturation: elide the DRAM access
+                // (models MSHR merging with the concurrent demand traffic).
                 debug_assert!(
                     token.is_none(),
                     "tracked metadata fetches are capacity pre-checked"
                 );
-                // Untracked fetch under saturation: elide the DRAM access
-                // (models MSHR merging with the concurrent demand traffic).
-                DEAD_PART
             }
-        };
-        let allocated = self.alloc_part(slot);
-        debug_assert_eq!(allocated, part);
+        }
         if let Some(victim) = self.md_cache.fill(line, is_write) {
             self.queue_md_writeback(victim, now_mem);
         }
@@ -469,19 +437,13 @@ impl SecurityEngine {
                 if !self.md_cache.access(parent, true) {
                     // Parent not cached: fetch it (untracked) and install
                     // dirty, spilling recursively via this same hook.
-                    let part = self.next_part;
-                    let slot = if self
+                    if self
                         .dram
-                        .enqueue(MemRequest::new(part, ReqKind::Read, parent, now_mem))
+                        .enqueue(MemRequest::new(UNTRACKED, ReqKind::Read, parent, now_mem))
                         .is_ok()
                     {
                         self.stats.tree_fetches += 1;
-                        UNTRACKED_PART
-                    } else {
-                        DEAD_PART
-                    };
-                    let allocated = self.alloc_part(slot);
-                    debug_assert_eq!(allocated, part);
+                    }
                     if let Some(v2) = self.md_cache.fill(parent, true) {
                         self.stats.metadata_writebacks += 1;
                         self.pending_md_writes.push_back(v2);
@@ -489,19 +451,13 @@ impl SecurityEngine {
                 }
             }
         }
-        let part = self.next_part;
-        let slot = if self
+        if self
             .dram
-            .enqueue(MemRequest::new(part, ReqKind::Write, victim, now_mem))
-            .is_ok()
+            .enqueue(MemRequest::new(UNTRACKED, ReqKind::Write, victim, now_mem))
+            .is_err()
         {
-            UNTRACKED_PART
-        } else {
             self.pending_md_writes.push_back(victim);
-            DEAD_PART
-        };
-        let allocated = self.alloc_part(slot);
-        debug_assert_eq!(allocated, part);
+        }
     }
 
     /// Worst-case read-queue slots one read transaction may need
@@ -581,15 +537,12 @@ impl SecurityEngine {
             }
             // Retry spilled metadata writebacks.
             while let Some(&wb) = self.pending_md_writes.front() {
-                let part = self.next_part;
                 let mem_now = self.dram.cycle();
                 if self
                     .dram
-                    .enqueue(MemRequest::new(part, ReqKind::Write, wb, mem_now))
+                    .enqueue(MemRequest::new(UNTRACKED, ReqKind::Write, wb, mem_now))
                     .is_ok()
                 {
-                    let allocated = self.alloc_part(UNTRACKED_PART);
-                    debug_assert_eq!(allocated, part);
                     self.pending_md_writes.pop_front();
                 } else {
                     break;
@@ -602,18 +555,10 @@ impl SecurityEngine {
     /// Routes one landed DRAM part to its transaction, scheduling the
     /// read token once its last part has arrived.
     fn harvest(&mut self, completion: Completion) {
-        let off = (completion.id - self.part_base) as usize;
-        let slot = std::mem::replace(&mut self.part_token[off], DEAD_PART);
-        // Slide the window's front over everything already done.
-        while self.part_token.front() == Some(&DEAD_PART) {
-            self.part_token.pop_front();
-            self.part_base += 1;
+        let token = completion.id;
+        if token == UNTRACKED {
+            return;
         }
-        if slot >= UNTRACKED_PART {
-            debug_assert_ne!(slot, DEAD_PART, "part completed twice");
-            return; // untracked metadata traffic
-        }
-        let token = slot;
         let arrival = self.cpu_cycle_for(completion.finish_cycle);
         let txn = &mut self.transactions[(token - self.txn_base) as usize];
         txn.remaining -= 1;
@@ -652,10 +597,9 @@ impl SecurityEngine {
                 let mut parts = 0u32;
 
                 // Data fetch.
-                let part = self.alloc_part(token);
                 parts += 1;
                 self.dram
-                    .enqueue(MemRequest::new(part, ReqKind::Read, addr, now_mem))
+                    .enqueue(MemRequest::new(token, ReqKind::Read, addr, now_mem))
                     .expect("capacity pre-checked");
                 self.stats.data_reads += 1;
 
@@ -706,9 +650,8 @@ impl SecurityEngine {
                 if self.dram.write_queue_len() >= self.dram.config().write_queue {
                     return Err(Busy);
                 }
-                let part = self.alloc_part(UNTRACKED_PART);
                 self.dram
-                    .enqueue(MemRequest::new(part, ReqKind::Write, addr, now_mem))
+                    .enqueue(MemRequest::new(UNTRACKED, ReqKind::Write, addr, now_mem))
                     .expect("capacity checked");
                 self.stats.data_writes += 1;
 

@@ -59,7 +59,9 @@
 //! `controller_decision_cycles` / `controller_busy_cycles` counters in
 //! `BENCH_kernel.json` measure exactly this gap.
 
-use secddr_telemetry::TelemetrySnapshot;
+use std::collections::VecDeque;
+
+use secddr_telemetry::{CounterSeries, SeriesSnapshot, TelemetrySnapshot};
 use sim_kernel::{EventQueue, SimClock};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -68,7 +70,6 @@ use crate::exec::{CoreEngine, SleepPlan};
 use crate::system::{AccessKind, BatchAccess, Busy, MemoryBackend, SimResult};
 use crate::trace::TraceOp;
 
-mod series;
 mod wake;
 
 pub use wake::WakeReasons;
@@ -77,27 +78,77 @@ pub use wake::WakeReasons;
 /// tokens whose completion was already delivered).
 const NO_OWNER: u32 = u32::MAX;
 
-/// Records `core` as the owner of `token` in the dense side-table.
+/// The token→owning-core table for completion routing: a dense sliding
+/// window over the token sequence. Slot `t - base` holds the core that
+/// owns read token `t` ([`NO_OWNER`] for writes and delivered reads).
 /// Tokens ascend densely from zero (the [`MemoryBackend`] contract), so
-/// the table grows amortized-O(1) and never rehashes.
-fn record_owner(table: &mut Vec<u32>, token: u64, core: usize) {
-    let idx = usize::try_from(token).expect("token fits in memory");
-    if idx >= table.len() {
-        table.resize(idx + 1, NO_OWNER);
-    }
-    table[idx] = core as u32;
+/// recording is amortized O(1) and never hashes; the front pops as soon
+/// as it settles, so the window spans the reads in flight, not the run.
+#[derive(Debug, Default)]
+struct TokenOwners {
+    /// Token of `slots`' front.
+    base: u64,
+    slots: VecDeque<u32>,
 }
 
-/// Takes (and clears) the owning core of `token`, if it was a routed
-/// read. O(1) arithmetic — the completion-routing hot path.
-fn take_owner(table: &mut [u32], token: u64) -> Option<usize> {
-    let slot = table.get_mut(token as usize)?;
-    let owner = *slot;
-    if owner == NO_OWNER {
-        return None;
+impl TokenOwners {
+    /// Records `core` as the owner of read `token`.
+    fn record(&mut self, token: u64, core: usize) {
+        if self.slots.is_empty() {
+            self.base = token;
+        }
+        let idx = token
+            .checked_sub(self.base)
+            .expect("tokens ascend (the MemoryBackend contract)");
+        let idx = usize::try_from(idx).expect("token window fits in memory");
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, NO_OWNER);
+        }
+        self.slots[idx] = core as u32;
     }
-    *slot = NO_OWNER;
-    Some(owner as usize)
+
+    /// Takes (and clears) the owning core of `token`, if it was a routed
+    /// read. O(1) amortized — the completion-routing hot path.
+    fn take(&mut self, token: u64) -> Option<usize> {
+        let idx = usize::try_from(token.checked_sub(self.base)?).ok()?;
+        let slot = self.slots.get_mut(idx)?;
+        let owner = std::mem::replace(slot, NO_OWNER);
+        if owner == NO_OWNER {
+            return None;
+        }
+        while self.slots.front() == Some(&NO_OWNER) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(owner as usize)
+    }
+}
+
+/// The scheduler's aggregate counters under the `multicore.*` names:
+/// the wake-reason buckets and the total core steps.
+fn scheduler_counters(wake: &WakeReasons, core_steps: &[u64]) -> TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot::default();
+    wake.render_into(&mut snap);
+    snap.add_counter("multicore.core.steps", core_steps.iter().sum());
+    snap
+}
+
+/// The scheduler's series rows: [`scheduler_counters`] plus each core's
+/// `multicore.coreNN.steps` and `multicore.coreNN.retired` heatmap rows.
+fn series_counters(
+    wake: &WakeReasons,
+    core_steps: &[u64],
+    cores: &[CoreEngine],
+) -> TelemetrySnapshot {
+    let mut snap = scheduler_counters(wake, core_steps);
+    for (i, (steps, core)) in core_steps.iter().zip(cores).enumerate() {
+        snap.add_counter(&format!("multicore.core{i:02}.steps"), *steps);
+        snap.add_counter(
+            &format!("multicore.core{i:02}.retired"),
+            core.instructions(),
+        );
+    }
+    snap
 }
 
 /// Forwards one core's backend traffic to the shared backend, recording
@@ -105,7 +156,7 @@ fn take_owner(table: &mut [u32], token: u64) -> Option<usize> {
 /// back. Cores never advance the shared backend — the scheduler does.
 struct RoutedBackend<'a, B> {
     inner: &'a mut B,
-    token_owner: &'a mut Vec<u32>,
+    token_owner: &'a mut TokenOwners,
     core: usize,
 }
 
@@ -119,7 +170,7 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
     ) -> Result<u64, Busy> {
         let token = self.inner.submit(kind, addr, now, is_prefetch)?;
         if kind == AccessKind::Read {
-            record_owner(self.token_owner, token, self.core);
+            self.token_owner.record(token, self.core);
         }
         Ok(token)
     }
@@ -135,7 +186,7 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
         for (access, result) in batch.iter().zip(&results[start..]) {
             if access.kind == AccessKind::Read {
                 if let Ok(token) = result {
-                    record_owner(self.token_owner, *token, self.core);
+                    self.token_owner.record(*token, self.core);
                 }
             }
         }
@@ -218,9 +269,8 @@ pub struct MultiCoreSystem<B> {
     llc: Cache,
     cores: Vec<CoreEngine>,
     clock: SimClock,
-    /// Dense token→owning-core table for completion routing, indexed by
-    /// token value (`NO_OWNER` for writes and delivered reads).
-    token_owner: Vec<u32>,
+    /// Token→owning-core table for completion routing.
+    token_owner: TokenOwners,
     /// Times each core was actually stepped (the event-driven scheduler's
     /// efficiency measure: spurious wake-ups step a core to no effect, so
     /// fewer steps at identical results is the win).
@@ -228,9 +278,11 @@ pub struct MultiCoreSystem<B> {
     /// Wake-reason attribution for the event-driven scheduler (all zero
     /// under the per-cycle reference, which never sleeps a core).
     wake: WakeReasons,
-    /// Opt-in sim-time windowed series recorder (see [`series`]);
-    /// `None` costs one branch per cycle and nothing else.
-    series: Option<series::MulticoreSeries>,
+    /// Opt-in sim-time windowed series of [`series_counters`]. Both run
+    /// loops roll it right after `clock.tick()`, before any wake is
+    /// attributed or any core steps, so every increment lands in the
+    /// epoch of its own cycle; `None` costs one branch per cycle.
+    series: Option<CounterSeries>,
 }
 
 impl<B: MemoryBackend> MultiCoreSystem<B> {
@@ -247,7 +299,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             llc: Cache::new(CacheConfig::llc()),
             cores: (0..cores).map(|_| CoreEngine::new(cfg)).collect(),
             clock: SimClock::new(),
-            token_owner: Vec::new(),
+            token_owner: TokenOwners::default(),
             core_steps: vec![0; cores],
             wake: WakeReasons::default(),
             series: None,
@@ -266,21 +318,19 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     ///
     /// Panics if `epoch_width` is zero.
     pub fn enable_series(&mut self, epoch_width: u64) {
-        self.series = Some(series::MulticoreSeries::new(
+        self.series = Some(CounterSeries::new(
             epoch_width,
-            &self.wake,
-            &self.core_steps,
-            &self.cores,
+            self.clock.now(),
+            series_counters(&self.wake, &self.core_steps, &self.cores),
         ));
     }
 
     /// The recorded series with the open partial epoch folded in, or
     /// `None` when [`Self::enable_series`] was never called.
     #[must_use]
-    pub fn series_snapshot(&self) -> Option<secddr_telemetry::SeriesSnapshot> {
-        self.series
-            .as_ref()
-            .map(|s| s.snapshot(&self.wake, &self.core_steps, &self.cores))
+    pub fn series_snapshot(&self) -> Option<SeriesSnapshot> {
+        let series = self.series.as_ref()?;
+        Some(series.snapshot(&series_counters(&self.wake, &self.core_steps, &self.cores)))
     }
 
     /// How many cycles each core was actually stepped. Under the
@@ -305,10 +355,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     /// [`TelemetrySnapshot`] under the `multicore.*` names.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot::default();
-        self.wake.render_into(&mut snap);
-        snap.add_counter("multicore.core.steps", self.core_steps.iter().sum());
-        snap
+        scheduler_counters(&self.wake, &self.core_steps)
     }
 
     /// Number of cores.
@@ -382,7 +429,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
         loop {
             let now = clock.tick();
             if let Some(series) = series.as_mut() {
-                series.roll(now, wake, core_steps, cores);
+                series.roll(now, || series_counters(wake, core_steps, cores));
             }
             for v in &mut routed {
                 v.clear();
@@ -390,7 +437,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             stamps.clear();
             backend.advance_to(now, &mut stamps);
             for &(_, token) in &stamps {
-                if let Some(core) = take_owner(token_owner, token) {
+                if let Some(core) = token_owner.take(token) {
                     routed[core].push(token);
                 }
             }
@@ -480,7 +527,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             }
             let now = clock.tick();
             if let Some(series) = series.as_mut() {
-                series.roll(now, wake, core_steps, cores);
+                series.roll(now, || series_counters(wake, core_steps, cores));
             }
 
             // Clear last cycle's delivery buffers (touched cores only).
@@ -498,7 +545,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
                 backend_bound = backend.next_completion_event(now).unwrap_or(u64::MAX);
                 for &(at, token) in &stamps {
                     debug_assert_eq!(at, now, "completion matured inside a skipped window");
-                    let Some(core) = take_owner(token_owner, token) else {
+                    let Some(core) = token_owner.take(token) else {
                         continue;
                     };
                     if cores[core].finished() {
@@ -958,5 +1005,31 @@ mod tests {
         let mut sys =
             MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(10));
         let _ = sys.run(vec![std::iter::empty::<TraceOp>()]);
+    }
+
+    #[test]
+    fn token_table_spans_the_reads_in_flight_not_the_run() {
+        for advance in [Advance::PerCycle, Advance::ToNextEvent] {
+            let mut sys = MultiCoreSystem::new(2, cfg(advance), FixedLatencyBackend::new(300));
+            // Measured between cumulative runs, when every read is
+            // delivered: a table sized by the largest token never shrinks.
+            let mut largest = 0;
+            for round in 0..4 {
+                let traces: Vec<Vec<TraceOp>> =
+                    (0..2).map(|c| mixed_trace(round * 2 + c, 40_000)).collect();
+                sys.run(traces.iter().map(|t| t.iter().copied()).collect());
+                largest = largest.max(sys.token_owner.slots.len());
+            }
+            // The next token a backend hands out is the count issued so far.
+            let issued = sys
+                .backend_mut()
+                .submit(AccessKind::Write, 0, u64::MAX / 2, false)
+                .expect("the fixed-latency backend never refuses");
+            assert!(issued > 40_000, "{advance:?}: a long run ({issued} tokens)");
+            assert!(
+                largest < 256,
+                "{advance:?}: the table holds {largest} slots after {issued} tokens"
+            );
+        }
     }
 }

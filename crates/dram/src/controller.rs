@@ -87,12 +87,14 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
+use secddr_telemetry::{CounterSeries, SeriesSnapshot, TelemetrySnapshot};
 use sim_kernel::{fold_ready_event, Advance, EventQueue, FxHashMap, SimClock};
 
 use crate::address::{AddressMapping, DecodedAddr};
 use crate::bank::{Bank, Rank};
 use crate::config::DramConfig;
 use crate::request::{Completion, MemRequest, ReqKind};
+use crate::series::DramSeries;
 use crate::stats::DramStats;
 use crate::telemetry::ControllerTelemetry;
 
@@ -444,7 +446,7 @@ pub struct DramSystem {
     /// attribution, per-bank issue counts, and occupancy integrals.
     /// `None` (the default) keeps the hot path to one branch; like
     /// `telemetry` it lives outside every compared struct.
-    series: Option<crate::series::DramSeries>,
+    series: Option<(CounterSeries, DramSeries)>,
     /// Age (cycles) beyond which the oldest request pre-empts row hits.
     starvation_limit: u64,
     /// Memoized [`Self::next_decision_cycle`] bound and its due set.
@@ -596,10 +598,10 @@ impl DramSystem {
     ///
     /// Panics if `epoch_width` is zero.
     pub fn enable_series(&mut self, epoch_width: u64) {
-        self.series = Some(crate::series::DramSeries::new(
-            epoch_width,
-            self.banks.len(),
-        ));
+        let counts = DramSeries::new(self.banks.len());
+        let recorder =
+            CounterSeries::new(epoch_width, self.clock.now(), self.series_counters(&counts));
+        self.series = Some((recorder, counts));
     }
 
     /// The recorded series so far (`None` unless
@@ -607,14 +609,21 @@ impl DramSystem {
     /// and the uncredited occupancy tail folded in exactly as
     /// [`Self::stats`] folds its open occupancy span. Per-epoch sums of
     /// the named rows reconcile bit-exactly with [`Self::telemetry`].
-    pub fn series_snapshot(&self) -> Option<secddr_telemetry::SeriesSnapshot> {
-        let series = self.series.as_ref()?;
+    pub fn series_snapshot(&self) -> Option<SeriesSnapshot> {
+        let (recorder, counts) = self.series.as_ref()?;
+        Some(recorder.snapshot(&self.series_counters(counts)))
+    }
+
+    /// `counts` rendered at the current cycle: the occupancy integrals
+    /// include the span not yet credited, so an enable bases them (and a
+    /// snapshot closes them) exactly at `now`.
+    fn series_counters(&self, counts: &DramSeries) -> TelemetrySnapshot {
         let tail = self.clock.now() - self.occupancy_credited_to;
-        Some(series.snapshot_with_tail(
+        counts.counters(
             &self.telemetry,
             self.read_sched.len() as u64 * tail,
             self.write_sched.len() as u64 * tail,
-        ))
+        )
     }
 
     /// Credits the span of cycles since the last occupancy change at the
@@ -625,9 +634,9 @@ impl DramSystem {
         if span > 0 {
             self.stats
                 .record_occupancy(self.read_sched.len(), self.write_sched.len(), span);
-            if let Some(series) = &mut self.series {
-                series.read_q_integral += self.read_sched.len() as u64 * span;
-                series.write_q_integral += self.write_sched.len() as u64 * span;
+            if let Some((_, counts)) = &mut self.series {
+                counts.read_q_integral += self.read_sched.len() as u64 * span;
+                counts.write_q_integral += self.write_sched.len() as u64 * span;
             }
             self.occupancy_credited_to = now;
         }
@@ -960,8 +969,8 @@ impl DramSystem {
         }
         // Roll the series *before* crediting: a span skipped across a
         // window boundary is credited to the window it lands in.
-        if let Some(series) = &mut self.series {
-            series.roll(cycle, &self.telemetry);
+        if let Some((recorder, counts)) = &mut self.series {
+            recorder.roll(cycle, || counts.counters(&self.telemetry, 0, 0));
         }
         self.stats.cycles += skipped;
         let mut busy_to = from;
@@ -1135,8 +1144,8 @@ impl DramSystem {
         let now = self.clock.tick();
         // Series epochs close on clock advance, before this tick records
         // anything, so everything below lands in `now`'s own epoch.
-        if let Some(series) = &mut self.series {
-            series.roll(now, &self.telemetry);
+        if let Some((recorder, counts)) = &mut self.series {
+            recorder.roll(now, || counts.counters(&self.telemetry, 0, 0));
         }
         self.stats.cycles += 1;
         // Advance-policy accounting: this tick executes (a decision
@@ -1547,8 +1556,8 @@ impl DramSystem {
                     }
                 }
             };
-            if let Some(series) = &mut self.series {
-                series.bank_issues[fb] += 1;
+            if let Some((_, counts)) = &mut self.series {
+                counts.bank_issues[fb] += 1;
             }
         }
         match action {

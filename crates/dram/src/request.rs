@@ -12,7 +12,8 @@ pub enum ReqKind {
 /// One cache-line-granularity request presented to the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
-    /// Caller-assigned identifier, echoed in the [`Completion`].
+    /// Caller-assigned identifier, echoed in the [`Completion`]. The
+    /// controller never reads it, so ids need not be unique.
     pub id: u64,
     /// Read or write.
     pub kind: ReqKind,

@@ -1,7 +1,7 @@
 //! Sim-time windowed series recording for one DDR4 channel: the
 //! controller's [`ControllerTelemetry`] attribution, per-bank scheduler
 //! command counts, and queue-occupancy integrals, bucketed into fixed
-//! mem-cycle epochs.
+//! mem-cycle epochs by a [`CounterSeries`].
 //!
 //! Same zero-perturbation discipline as the aggregate telemetry: the
 //! recorder is opt-in (`Option` on the controller), keeps plain
@@ -9,141 +9,59 @@
 //! [`DramStats`](crate::DramStats) — enabling it provably cannot bend
 //! the simulation (pinned by `tests/series_differential.rs`).
 //!
-//! Epochs close lazily on clock advance ([`EpochRoller`]): the deltas
-//! of the cumulative counters since the last close are credited to the
-//! epoch that was open while they accumulated. The controller rolls
-//! *before* recording at a new `now` — including before crediting a
-//! `tick_until` skip span — so every increment (and every wholesale
-//! skipped span) lands in the epoch containing its own timestamp.
+//! The controller rolls the recorder *before* recording at a new `now` —
+//! including before crediting a `tick_until` skip span — so every
+//! increment (and every wholesale skipped span) lands in the epoch
+//! containing its own timestamp.
+//!
+//! [`CounterSeries`]: secddr_telemetry::CounterSeries
 
-use secddr_telemetry::{EpochRoller, SeriesSnapshot};
+use secddr_telemetry::TelemetrySnapshot;
 
-use crate::telemetry::{ControllerTelemetry, DecisionCauses};
+use crate::telemetry::ControllerTelemetry;
 
-/// Per-channel series recorder (see module docs). Owned by
-/// [`DramSystem`](crate::DramSystem) behind an `Option`.
+/// The counters only the channel series keeps (see module docs). Owned
+/// by [`DramSystem`](crate::DramSystem) behind an `Option`, next to the
+/// recorder that epochs its [`Self::counters`] render.
 #[derive(Debug, Clone)]
 pub(crate) struct DramSeries {
-    roller: EpochRoller,
-    /// Cumulative controller telemetry at the last epoch close.
-    base: ControllerTelemetry,
     /// Cumulative scheduler commands (column, PRE, ACT) per flat bank.
     /// One increments per issuing tick, so their sum tracks
     /// `issue_hit + issue_miss` exactly (refresh-path commands are the
     /// `refresh` cause and are deliberately excluded).
     pub(crate) bank_issues: Vec<u64>,
-    base_bank: Vec<u64>,
     /// Cumulative occupancy integrals (queue length x cycles), credited
     /// alongside the occupancy histograms at length-change events.
     pub(crate) read_q_integral: u64,
     pub(crate) write_q_integral: u64,
-    base_read_q: u64,
-    base_write_q: u64,
-    snap: SeriesSnapshot,
 }
 
 impl DramSeries {
-    /// A recorder with `width` mem-cycles per epoch over `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub(crate) fn new(width: u64, banks: usize) -> Self {
+    /// Zeroed counters over `banks` banks.
+    pub(crate) fn new(banks: usize) -> Self {
         Self {
-            roller: EpochRoller::new(width),
-            base: ControllerTelemetry::default(),
             bank_issues: vec![0; banks],
-            base_bank: vec![0; banks],
             read_q_integral: 0,
             write_q_integral: 0,
-            base_read_q: 0,
-            base_write_q: 0,
-            snap: SeriesSnapshot::new(width),
         }
     }
 
-    /// Closes the open epoch if `now` crossed a window boundary,
-    /// crediting everything accumulated since the last close. Call
-    /// before recording anything at `now`.
-    pub(crate) fn roll(&mut self, now: u64, telemetry: &ControllerTelemetry) {
-        if let Some(epoch) = self.roller.close_epoch(now) {
-            self.flush(epoch, telemetry);
-        }
-    }
-
-    /// Credits the cumulative-vs-base deltas to `epoch` and re-bases.
-    fn flush(&mut self, epoch: u64, telemetry: &ControllerTelemetry) {
-        let snap = &mut self.snap;
-        snap.add(
-            "dram.decisions_total",
-            epoch,
-            telemetry.decision_cycles - self.base.decision_cycles,
-        );
-        snap.add(
-            "dram.busy_cycles",
-            epoch,
-            telemetry.busy_cycles - self.base.busy_cycles,
-        );
-        // Exhaustive destructuring: a new cause must pick its row name
-        // here (and therefore join the reconciliation) to compile.
-        let DecisionCauses {
-            issue_hit,
-            issue_miss,
-            refresh,
-            completion,
-            drain_flip,
-            aging,
-            noop,
-        } = telemetry.causes;
-        let b = self.base.causes;
-        snap.add("dram.decision.issue_hit", epoch, issue_hit - b.issue_hit);
-        snap.add("dram.decision.issue_miss", epoch, issue_miss - b.issue_miss);
-        snap.add("dram.decision.refresh", epoch, refresh - b.refresh);
-        snap.add("dram.decision.completion", epoch, completion - b.completion);
-        snap.add("dram.decision.drain_flip", epoch, drain_flip - b.drain_flip);
-        snap.add("dram.decision.aging", epoch, aging - b.aging);
-        snap.add("dram.decision.noop", epoch, noop - b.noop);
-        for (bank, (cur, base)) in self
-            .bank_issues
-            .iter()
-            .zip(self.base_bank.iter_mut())
-            .enumerate()
-        {
-            if *cur > *base {
-                snap.add(&format!("dram.bank{bank:02}.issues"), epoch, cur - *base);
-            }
-            *base = *cur;
-        }
-        snap.add(
-            "dram.read_q_integral",
-            epoch,
-            self.read_q_integral - self.base_read_q,
-        );
-        snap.add(
-            "dram.write_q_integral",
-            epoch,
-            self.write_q_integral - self.base_write_q,
-        );
-        self.base = *telemetry;
-        self.base_read_q = self.read_q_integral;
-        self.base_write_q = self.write_q_integral;
-    }
-
-    /// The series so far, with the open partial epoch folded in — plus
-    /// the still-uncredited occupancy tail the controller computes the
-    /// same way [`DramSystem::stats`](crate::DramSystem::stats) folds
-    /// its open occupancy span. Non-destructive: recording continues.
-    pub(crate) fn snapshot_with_tail(
+    /// The channel's series rows: `telemetry` under its aggregate names,
+    /// then `dram.bankNN.issues` and the two occupancy integrals, each
+    /// integral plus its still-uncredited tail.
+    pub(crate) fn counters(
         &self,
         telemetry: &ControllerTelemetry,
         read_tail: u64,
         write_tail: u64,
-    ) -> SeriesSnapshot {
-        let mut copy = self.clone();
-        copy.read_q_integral += read_tail;
-        copy.write_q_integral += write_tail;
-        let open = copy.roller.open_epoch();
-        copy.flush(open, telemetry);
-        copy.snap
+    ) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::new();
+        telemetry.render_into(&mut snap);
+        for (bank, &issues) in self.bank_issues.iter().enumerate() {
+            snap.add_counter(&format!("dram.bank{bank:02}.issues"), issues);
+        }
+        snap.add_counter("dram.read_q_integral", self.read_q_integral + read_tail);
+        snap.add_counter("dram.write_q_integral", self.write_q_integral + write_tail);
+        snap
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-layer telemetry for the SecDDR reproduction.
 //!
-//! Three pieces, used together by every layer of the stack:
+//! Four pieces, used together by every layer of the stack:
 //!
 //! * a [`Registry`] of process-cheap [`Counter`]/[`Gauge`]/[`Histogram`]
 //!   handles registered under hierarchical dotted names
@@ -19,9 +19,10 @@
 //!   `chrome://tracing`-loadable timeline (one track per
 //!   core/shard/worker);
 //! * a sim-time windowed [`SeriesSnapshot`] (fixed-width epochs closed
-//!   on clock advance via [`EpochRoller`], no wall-clock anywhere) whose
-//!   per-epoch row sums reconcile exactly to the aggregate snapshot,
-//!   with a CSV exporter, `"ph":"C"` counter events in the
+//!   on clock advance by the one [`CounterSeries`] recorder, which
+//!   credits each epoch the change in a layer's rendered counters; no
+//!   wall-clock anywhere) whose per-epoch row sums reconcile exactly to
+//!   the aggregate snapshot, with a CSV exporter, `"ph":"C"` counter events in the
 //!   [`chrome_trace`] document, and the [`report`] module's
 //!   bottleneck-attribution analysis on top.
 //!
@@ -46,6 +47,6 @@ mod sink;
 mod snapshot;
 
 pub use registry::{Counter, Gauge, Histogram, Registry};
-pub use series::{EpochRoller, SeriesSnapshot};
+pub use series::{CounterSeries, SeriesSnapshot};
 pub use sink::{Span, TraceSink};
 pub use snapshot::{HistogramSnapshot, TelemetrySnapshot, HISTOGRAM_BUCKETS};

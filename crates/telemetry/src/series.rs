@@ -4,11 +4,11 @@
 //! queue pressure is a phase or a steady state.
 //!
 //! An **epoch** is a fixed window of simulation cycles
-//! (`[e * width, (e + 1) * width)` for epoch index `e`). Recorders in
-//! the hot layers keep plain cumulative `u64`s and close epochs lazily
-//! on clock advance via [`EpochRoller`]: the delta accumulated since the
-//! last close is credited to the epoch that was open when it
-//! accumulated, and spans skipped wholesale across a window boundary
+//! (`[e * width, (e + 1) * width)` for epoch index `e`). Layers keep
+//! plain cumulative `u64`s and render them into a [`TelemetrySnapshot`];
+//! a [`CounterSeries`] closes epochs lazily on clock advance, crediting
+//! each counter's change since the last close to the epoch that was open
+//! while it accumulated. Spans skipped wholesale across a window boundary
 //! (`tick_until` / `advance_to` jumps) are credited to the window they
 //! *land* in — deterministic, no wall-clock anywhere.
 //!
@@ -180,61 +180,79 @@ impl SeriesSnapshot {
     }
 }
 
-/// Epoch bookkeeping shared by every layer recorder: which epoch is
-/// open, and when a clock advance crosses a boundary. The owning
-/// recorder keeps its own cumulative counters and base snapshots; this
-/// type only decides *when* to close and *which* epoch receives the
-/// accumulated delta.
+/// The one per-epoch recorder every layer uses: it keeps the layer's
+/// counter render from the last epoch close and, when the clock leaves
+/// the open epoch, credits the difference to that epoch. A layer keeps
+/// only its own cumulative counters and one render of them (the same
+/// names its aggregate snapshot carries), so row names live in one place
+/// and the per-epoch sums reconcile with the aggregate by construction.
 ///
-/// Contract: call [`Self::close_epoch`] (via the owner's roll) *before*
-/// recording anything at the new `now`, so every recorded increment
-/// lands in the epoch containing its own timestamp. A jump across
-/// several windows credits the pre-jump accumulation to the epoch that
-/// was open and leaves the skipped interior windows zero — the span
-/// being skipped is then recorded after the roll, crediting it to the
-/// window it lands in.
+/// Contract: call [`Self::roll`] *before* recording anything at a new
+/// `now`, so every increment lands in the epoch containing its own
+/// timestamp. A jump across several windows credits the pre-jump
+/// accumulation to the epoch that was open and leaves the skipped
+/// interior windows zero — the span being skipped is then recorded
+/// after the roll, crediting it to the window it lands in.
 #[derive(Debug, Clone)]
-pub struct EpochRoller {
-    width: u64,
+pub struct CounterSeries {
+    /// The epoch currently accumulating.
     open: u64,
+    /// The layer's counters at the last epoch close (or at enable).
+    base: TelemetrySnapshot,
+    snap: SeriesSnapshot,
 }
 
-impl EpochRoller {
-    /// A roller with epoch 0 open.
+impl CounterSeries {
+    /// A recorder with `width` cycles per epoch, enabled at cycle `now`
+    /// with the layer's `current` counters as the base: its first epoch
+    /// is the one holding `now`, and nothing counted before the enable
+    /// is credited.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero.
     #[must_use]
-    pub fn new(width: u64) -> Self {
-        assert!(width > 0, "epoch width must be nonzero");
-        Self { width, open: 0 }
-    }
-
-    /// Cycles per epoch.
-    #[must_use]
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// The epoch index currently accumulating.
-    #[must_use]
-    pub fn open_epoch(&self) -> u64 {
-        self.open
-    }
-
-    /// If `now` has left the open epoch, returns the index of the epoch
-    /// to close (the previously open one) and opens `now`'s epoch. The
-    /// caller flushes its accumulated deltas into the returned index.
-    /// Returns `None` while `now` is still inside the open window.
-    pub fn close_epoch(&mut self, now: u64) -> Option<u64> {
-        let epoch = now / self.width;
-        if epoch == self.open {
-            return None;
+    pub fn new(width: u64, now: u64, current: TelemetrySnapshot) -> Self {
+        Self {
+            snap: SeriesSnapshot::new(width),
+            open: now / width,
+            base: current,
         }
-        let closing = self.open;
+    }
+
+    /// Closes the open epoch if `now` has left it, crediting the change
+    /// of the layer's counters since the last close. `render` is called
+    /// only then, so a roll inside the open epoch costs one division.
+    pub fn roll(&mut self, now: u64, render: impl FnOnce() -> TelemetrySnapshot) {
+        let epoch = now / self.snap.epoch_width;
+        if epoch == self.open {
+            return;
+        }
+        let current = render();
+        credit(&mut self.snap, self.open, &current, &self.base);
+        self.base = current;
         self.open = epoch;
-        Some(closing)
+    }
+
+    /// The series so far, with the open partial epoch credited from the
+    /// layer's `current` counters. Non-destructive: recording continues.
+    #[must_use]
+    pub fn snapshot(&self, current: &TelemetrySnapshot) -> SeriesSnapshot {
+        let mut snap = self.snap.clone();
+        credit(&mut snap, self.open, current, &self.base);
+        snap
+    }
+}
+
+/// Adds every counter's change from `base` to `current` into `epoch`.
+fn credit(
+    snap: &mut SeriesSnapshot,
+    epoch: u64,
+    current: &TelemetrySnapshot,
+    base: &TelemetrySnapshot,
+) {
+    for (name, value) in current.delta_since(base).counters {
+        snap.add(&name, epoch, value);
     }
 }
 
@@ -314,16 +332,35 @@ mod tests {
         assert_eq!(s.to_csv(), "name,e0,e1,e2\na,1,0,0\nb,0,0,4\n");
     }
 
+    fn counters(pairs: &[(&str, u64)]) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::new();
+        for &(name, value) in pairs {
+            snap.add_counter(name, value);
+        }
+        snap
+    }
+
     #[test]
-    fn roller_closes_once_per_boundary_and_skips_jumps() {
-        let mut r = EpochRoller::new(100);
-        assert_eq!(r.close_epoch(0), None);
-        assert_eq!(r.close_epoch(99), None);
-        assert_eq!(r.close_epoch(100), Some(0));
-        assert_eq!(r.close_epoch(150), None);
+    fn counter_series_closes_once_per_boundary_and_skips_jumps() {
+        let mut s = CounterSeries::new(100, 0, counters(&[("c", 0)]));
+        s.roll(99, || unreachable!("no boundary crossed"));
+        s.roll(100, || counters(&[("c", 3)]));
+        s.roll(150, || unreachable!("still inside epoch 1"));
         // A jump across several windows closes only the open epoch; the
         // interior windows were provably empty and stay zero.
-        assert_eq!(r.close_epoch(750), Some(1));
-        assert_eq!(r.open_epoch(), 7);
+        s.roll(750, || counters(&[("c", 5)]));
+        let snap = s.snapshot(&counters(&[("c", 9)]));
+        assert_eq!(snap.rows["c"], vec![3, 2, 0, 0, 0, 0, 0, 4]);
+    }
+
+    #[test]
+    fn counter_series_starts_at_the_enable_epoch_and_base() {
+        let s = CounterSeries::new(100, 450, counters(&[("c", 40), ("d", 7)]));
+        let snap = s.snapshot(&counters(&[("c", 42), ("d", 7)]));
+        assert_eq!(snap.rows["c"], vec![0, 0, 0, 0, 2]);
+        assert!(
+            !snap.rows.contains_key("d"),
+            "an unchanged counter adds no row"
+        );
     }
 }
