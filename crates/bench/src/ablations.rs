@@ -11,7 +11,10 @@
 //!   "parallel tree-level verification" assumption is worth.
 //! * **A4 — FR-FCFS vs FCFS**: scheduler contribution, confirming metadata
 //!   traffic (not scheduling artifacts) drives the tree penalty.
+//! * **A5 — eWCRC burst cost on DDR4 vs DDR5**: the saturated write
+//!   bandwidth each generation loses to the extended burst.
 
+use dram_sim::{DramConfig, DramSystem, MemRequest, ReqKind};
 use secddr_core::config::SecurityConfig;
 use secddr_core::engine::EngineOptions;
 use secddr_core::system::{run_trace_with_options, RunParams};
@@ -42,7 +45,35 @@ fn norms(
         .collect()
 }
 
-/// Runs all four ablations.
+/// Posts 4,000 sequential line writes to one channel as fast as its write
+/// queue accepts them and returns the cycle the last one finishes: the
+/// saturated write bandwidth of `cfg`'s burst length.
+fn saturated_write_drain(cfg: DramConfig) -> u64 {
+    const TOTAL: u64 = 4_000;
+    let mut dram = DramSystem::new(cfg);
+    let (mut issued, mut done, mut last) = (0u64, 0u64, 0u64);
+    while done < TOTAL {
+        if issued < TOTAL
+            && dram
+                .enqueue(MemRequest::new(
+                    issued,
+                    ReqKind::Write,
+                    issued * 64,
+                    dram.cycle(),
+                ))
+                .is_ok()
+        {
+            issued += 1;
+        }
+        for c in dram.tick() {
+            done += 1;
+            last = last.max(c.finish_cycle);
+        }
+    }
+    last
+}
+
+/// Runs all five ablations.
 pub fn run_with_budget(instructions: u64, seed: u64) {
     let params = RunParams { instructions, seed };
 
@@ -51,47 +82,13 @@ pub fn run_with_budget(instructions: u64, seed: u64) {
     // 4-core rate workloads saturate it, a single-core trace does not. We
     // therefore measure raw write bandwidth on a saturated channel plus
     // the workload-level effect.
-    {
-        let drain_cycles = |bl8: bool| -> u64 {
-            use dram_sim::{DramSystem, MemRequest, ReqKind};
-            let cfg = if bl8 {
-                SecurityConfig::encrypt_only_ctr().dram_config()
-            } else {
-                SecurityConfig::secddr_ctr().dram_config()
-            };
-            let mut dram = DramSystem::new(cfg);
-            let mut issued = 0u64;
-            let mut done = 0u64;
-            let total = 4_000u64;
-            let mut last = 0u64;
-            while done < total {
-                if issued < total
-                    && dram
-                        .enqueue(MemRequest::new(
-                            issued,
-                            ReqKind::Write,
-                            issued * 64,
-                            dram.cycle(),
-                        ))
-                        .is_ok()
-                {
-                    issued += 1;
-                }
-                for c in dram.tick() {
-                    done += 1;
-                    last = last.max(c.finish_cycle);
-                }
-            }
-            last
-        };
-        let bl10 = drain_cycles(false);
-        let bl8 = drain_cycles(true);
-        println!(
-            "  saturated write stream, 4000 lines: BL8 {bl8} cycles, BL10 {bl10} cycles \
-             -> {:.1}% write-bandwidth cost",
-            (bl10 as f64 / bl8 as f64 - 1.0) * 100.0
-        );
-    }
+    let bl10 = saturated_write_drain(SecurityConfig::secddr_ctr().dram_config());
+    let bl8 = saturated_write_drain(SecurityConfig::encrypt_only_ctr().dram_config());
+    println!(
+        "  saturated write stream, 4000 lines: BL8 {bl8} cycles, BL10 {bl10} cycles \
+         -> {:.1}% write-bandwidth cost",
+        (bl10 as f64 / bl8 as f64 - 1.0) * 100.0
+    );
     let a1_rows = par_sweep(vec!["lbm", "omnetpp"], move |name| {
         let bench = Benchmark::by_name(name).expect("known benchmark");
         let row = norms(
@@ -185,45 +182,19 @@ pub fn run_with_budget(instructions: u64, seed: u64) {
     // Paper (Section IV-B): "for DDR5 memories the impact of increasing
     // the write burst length is smaller — from 16 to 18". Measured as the
     // saturated write-stream bandwidth cost on each generation.
-    {
-        use dram_sim::{DramConfig, DramSystem, MemRequest, ReqKind};
-        let drain_cycles = |cfg: DramConfig| -> u64 {
-            let mut dram = DramSystem::new(cfg);
-            let (mut issued, mut done, total, mut last) = (0u64, 0u64, 4_000u64, 0u64);
-            while done < total {
-                if issued < total
-                    && dram
-                        .enqueue(MemRequest::new(
-                            issued,
-                            ReqKind::Write,
-                            issued * 64,
-                            dram.cycle(),
-                        ))
-                        .is_ok()
-                {
-                    issued += 1;
-                }
-                for c in dram.tick() {
-                    done += 1;
-                    last = last.max(c.finish_cycle);
-                }
-            }
-            last
-        };
-        let d4 = drain_cycles(DramConfig::ddr4_3200());
-        let d4e = drain_cycles(DramConfig::ddr4_3200_ewcrc());
-        let d5 = drain_cycles(DramConfig::ddr5_4800());
-        let d5e = drain_cycles(DramConfig::ddr5_4800_ewcrc());
-        println!(
-            "  DDR4-3200: BL8 {d4} -> BL10 {d4e} cycles   ({:+.1}% bandwidth cost)",
-            (d4e as f64 / d4 as f64 - 1.0) * 100.0
-        );
-        println!(
-            "  DDR5-4800: BL16 {d5} -> BL18 {d5e} cycles  ({:+.1}% bandwidth cost)",
-            (d5e as f64 / d5 as f64 - 1.0) * 100.0
-        );
-        println!("  [paper: the DDR5 extension is proportionally half as costly]");
-    }
+    let d4 = saturated_write_drain(DramConfig::ddr4_3200());
+    let d4e = saturated_write_drain(DramConfig::ddr4_3200_ewcrc());
+    let d5 = saturated_write_drain(DramConfig::ddr5_4800());
+    let d5e = saturated_write_drain(DramConfig::ddr5_4800_ewcrc());
+    println!(
+        "  DDR4-3200: BL8 {d4} -> BL10 {d4e} cycles   ({:+.1}% bandwidth cost)",
+        (d4e as f64 / d4 as f64 - 1.0) * 100.0
+    );
+    println!(
+        "  DDR5-4800: BL16 {d5} -> BL18 {d5e} cycles  ({:+.1}% bandwidth cost)",
+        (d5e as f64 / d5 as f64 - 1.0) * 100.0
+    );
+    println!("  [paper: the DDR5 extension is proportionally half as costly]");
 
     println!("\n=== Ablation A4: FR-FCFS vs FCFS scheduling ===\n");
     let a4_rows = par_sweep(vec!["bwaves", "omnetpp"], move |name| {

@@ -4,8 +4,8 @@
 //! [`ShardedEngine`] owns N independent [`SecurityEngine`]s (each with its
 //! own metadata cache and DDR4 channel) and an [`Interleave`] that splits
 //! the physical line space across them. The CPU front-end sees a single
-//! backend: tokens, batch results, and completions are translated at this
-//! layer, so `CpuSystem` is oblivious to the shard count.
+//! backend: tokens and completions are translated at this layer, so
+//! `CpuSystem` is oblivious to the shard count.
 //!
 //! The top-level advance is event-driven: [`MemoryBackend::advance_to`]
 //! walks the shards in index order and steps **only the shards whose
@@ -29,12 +29,12 @@
 //! controller tick per covered busy cycle. Completions that land inside a
 //! skipped span are popped at their own finish cycles.
 
-use cpu_model::system::{AccessKind, BatchAccess, Busy, MemoryBackend};
+use cpu_model::system::{AccessKind, Busy, MemoryBackend};
 use dram_sim::{ControllerTelemetry, DramStats};
 use secddr_core::config::SecurityConfig;
 use secddr_core::engine::{EngineOptions, EngineStats, SecurityEngine};
 use secddr_telemetry::{SeriesSnapshot, TraceSink};
-use sim_kernel::{Advance, FxHashMap};
+use sim_kernel::{Advance, TokenWindow};
 
 use crate::interleave::Interleave;
 
@@ -51,17 +51,13 @@ pub struct ShardedEngine {
     next_token: u64,
     /// Per shard: local read token → global token (writes complete
     /// silently and are never mapped).
-    local_to_global: Vec<FxHashMap<u64, u64>>,
+    local_to_global: Vec<TokenWindow<u64>>,
     /// Latest CPU cycle observed on any trait call — the catch-up target
     /// for lagging shards in [`Self::sync`].
     last_now: u64,
     /// Times each shard was actually stepped (diagnostic for the
     /// "only due shards advance" property and the scaling benchmarks).
     shard_ticks: Vec<u64>,
-    /// Reusable batch fan-out scratch (one slot per shard).
-    split: Vec<Vec<BatchAccess>>,
-    split_results: Vec<Vec<Result<u64, Busy>>>,
-    cursors: Vec<usize>,
     /// Reusable `(cycle, local token)` buffer for per-shard block
     /// advances.
     stamp_scratch: Vec<(u64, u64)>,
@@ -106,12 +102,9 @@ impl ShardedEngine {
             interleave,
             advance: options.advance,
             next_token: 0,
-            local_to_global: vec![FxHashMap::default(); n],
+            local_to_global: vec![TokenWindow::default(); n],
             last_now: 0,
             shard_ticks: vec![0; n],
-            split: vec![Vec::new(); n],
-            split_results: vec![Vec::new(); n],
-            cursors: vec![0; n],
             stamp_scratch: Vec::new(),
             trace: None,
             trace_mark: vec![0; n],
@@ -263,23 +256,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Allocates the global token for an accepted access and records the
-    /// local→global mapping for reads (the only kind that completes).
-    fn register(
-        &mut self,
-        shard: usize,
-        kind: AccessKind,
-        result: Result<u64, Busy>,
-    ) -> Result<u64, Busy> {
-        let local = result?;
-        let global = self.next_token;
-        self.next_token += 1;
-        if kind == AccessKind::Read {
-            self.local_to_global[shard].insert(local, global);
-        }
-        Ok(global)
-    }
-
     /// Block-advances shard `s` to `target`, translating its stamped
     /// completions to global tokens.
     fn advance_shard_to(&mut self, s: usize, target: u64, out: &mut Vec<(u64, u64)>) {
@@ -290,7 +266,7 @@ impl ShardedEngine {
         self.shards[s].advance_to(target, &mut scratch);
         for &(at, local) in &scratch {
             let global = self.local_to_global[s]
-                .remove(&local)
+                .take(local)
                 .expect("completed read was registered at submit");
             out.push((at, global));
         }
@@ -357,49 +333,15 @@ impl MemoryBackend for ShardedEngine {
         let (s, local) = self.interleave.to_local(addr);
         // The shard's own submit catches its channel clock up to `now`
         // before stamping, so a lagging shard re-synchronizes here.
-        let result = self.shards[s].submit(kind, local, now, is_prefetch);
-        self.register(s, kind, result)
-    }
-
-    fn submit_batch(
-        &mut self,
-        batch: &[BatchAccess],
-        now: u64,
-        results: &mut Vec<Result<u64, Busy>>,
-    ) {
-        self.last_now = self.last_now.max(now);
-        // Fan out: split the batch per shard, preserving relative order
-        // within each shard (all the batch contract requires).
-        for v in &mut self.split {
-            v.clear();
+        let local_token = self.shards[s].submit(kind, local, now, is_prefetch)?;
+        // Every accepted access takes the next global token; only reads
+        // (the only kind that completes) are mapped back.
+        let global = self.next_token;
+        self.next_token += 1;
+        if kind == AccessKind::Read {
+            self.local_to_global[s].insert(local_token, global);
         }
-        for access in batch {
-            let (s, local) = self.interleave.to_local(access.addr);
-            self.split[s].push(BatchAccess {
-                addr: local,
-                ..*access
-            });
-        }
-        // One batched submission per touched shard: each pays its channel
-        // catch-up once for its whole sub-batch.
-        for s in 0..self.shards.len() {
-            self.split_results[s].clear();
-            if !self.split[s].is_empty() {
-                self.shards[s].submit_batch(&self.split[s], now, &mut self.split_results[s]);
-            }
-        }
-        // Merge back in submission order: walk the original batch and
-        // take each shard's results in sequence, so `results[i]` always
-        // answers `batch[i]` and global tokens are allocated in batch
-        // order (exactly what per-call submission would have produced).
-        self.cursors.fill(0);
-        for access in batch {
-            let s = self.interleave.shard_of(access.addr);
-            let r = self.split_results[s][self.cursors[s]];
-            self.cursors[s] += 1;
-            let r = self.register(s, access.kind, r);
-            results.push(r);
-        }
+        Ok(global)
     }
 
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {
@@ -460,6 +402,8 @@ impl MemoryBackend for ShardedEngine {
 mod tests {
     use super::*;
     use crate::interleave::LINE_BYTES;
+    use cpu_model::system::BatchAccess;
+    use cpu_model::{CpuConfig, MultiCoreSystem, TraceOp};
 
     const CPU_MHZ: u32 = 3200;
 
@@ -589,6 +533,43 @@ mod tests {
         assert_eq!(
             dram.reads,
             e.shard(0).dram_stats().reads + e.shard(1).dram_stats().reads
+        );
+    }
+
+    #[test]
+    fn token_windows_span_the_reads_in_flight_not_the_run() {
+        let mut sys = MultiCoreSystem::new(2, CpuConfig::default(), engine(4));
+        // Measured between cumulative runs, when every read is delivered:
+        // a table sized by the largest token would only ever grow.
+        let mut largest = 0;
+        for round in 0..4u64 {
+            let traces: Vec<Vec<TraceOp>> = (0..2u64)
+                .map(|c| {
+                    (0..6_000u64)
+                        .map(|i| {
+                            let x =
+                                (i ^ ((round * 2 + c) << 20)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            let line = (x >> 24) & !(LINE_BYTES - 1);
+                            match x % 4 {
+                                0 => TraceOp::Compute(8),
+                                1 => TraceOp::Store(line),
+                                _ => TraceOp::Load(line),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            sys.run(traces.iter().map(|t| t.iter().copied()).collect());
+            let sharded = sys.backend();
+            for window in &sharded.local_to_global {
+                largest = largest.max(window.span());
+            }
+        }
+        let issued = sys.backend().next_token;
+        assert!(issued > 20_000, "a long run ({issued} tokens)");
+        assert!(
+            largest < 256,
+            "a shard window holds {largest} slots after {issued} tokens"
         );
     }
 }

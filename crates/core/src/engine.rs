@@ -17,7 +17,7 @@ use cpu_model::cache::{Cache, CacheConfig, CacheStats};
 use cpu_model::system::{AccessKind, Busy, MemoryBackend};
 use cpu_model::CpuConfig;
 use dram_sim::{Completion, DramSystem, MemRequest, ReqKind};
-use sim_kernel::{Advance, EventQueue};
+use sim_kernel::{Advance, EventQueue, TokenWindow};
 
 use crate::config::{EncMode, Mechanism, SecurityConfig, CRYPTO_LATENCY};
 use crate::metadata::{MetadataLayout, DATA_SPAN};
@@ -79,10 +79,6 @@ struct Transaction {
 /// request's id through to its [`Completion`], so ids need not be
 /// unique: a tracked part carries its read token, everything else this.
 const UNTRACKED: u64 = u64::MAX;
-/// `Transaction::remaining` placeholder for a read token between its
-/// allocation and its part count being known; nonzero so the window's
-/// front cannot slide past a transaction still being assembled.
-const TXN_ASSEMBLING: u32 = u32::MAX;
 
 /// Tuning knobs for ablation studies (DESIGN.md §5). [`Default`] matches
 /// the paper's setup.
@@ -149,14 +145,9 @@ pub struct SecurityEngine {
     cpu_mhz: u64,
     mem_mhz: u64,
     next_token: u64,
-    /// In-flight read transactions, as a dense sliding window over the
-    /// token sequence (`remaining == 0` marks a dead slot:
-    /// a posted write's token or a completed read).
-    transactions: VecDeque<Transaction>,
-    /// Token id of `transactions`' front slot.
-    txn_base: u64,
-    /// Live (incomplete read) entries in `transactions`.
-    live_txns: usize,
+    /// In-flight read transactions by token (a posted write burns its
+    /// token and stores nothing).
+    transactions: TokenWindow<Transaction>,
     /// Lower bound on `extra_latency` across in-flight transactions
     /// (tightened on insert, reset when none remain). Lets
     /// [`MemoryBackend::next_completion_event`] push the CPU's wake-up
@@ -245,9 +236,7 @@ impl SecurityEngine {
             cpu_mhz: u64::from(cpu_mhz),
             mem_mhz,
             next_token: 0,
-            transactions: VecDeque::new(),
-            txn_base: 0,
-            live_txns: 0,
+            transactions: TokenWindow::default(),
             min_extra_in_flight: u64::MAX,
             ready: EventQueue::new(),
             pending_md_writes: VecDeque::new(),
@@ -361,28 +350,6 @@ impl SecurityEngine {
         }
     }
 
-    /// Allocates the next token id; a read passes `assembling` (its part
-    /// count is filled in once the metadata walk is done), a posted write
-    /// burns the id with a dead slot.
-    fn alloc_token(&mut self, assembling: bool) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.transactions.push_back(Transaction {
-            remaining: if assembling { TXN_ASSEMBLING } else { 0 },
-            latest_arrival_cpu: 0,
-            extra_latency: 0,
-        });
-        if !assembling {
-            // A burned write id may leave dead slots at the front; slide
-            // now so a write-heavy phase cannot grow the window.
-            while matches!(self.transactions.front(), Some(t) if t.remaining == 0) {
-                self.transactions.pop_front();
-                self.txn_base += 1;
-            }
-        }
-        token
-    }
-
     /// Accesses the metadata cache for `line`; on a miss, fetches it from
     /// DRAM as part of transaction `token` (or untracked when `token` is
     /// `None`) and installs it. Returns `true` when it missed.
@@ -477,7 +444,7 @@ impl SecurityEngine {
         if let Some(t) = self.ready.peek_time() {
             bound = bound.min(t);
         }
-        if self.live_txns > 0 {
+        if !self.transactions.is_empty() {
             let mut part_finish = self.dram.next_read_finish_cycle();
             if let Some(t) = self.dram.next_pending_completion() {
                 part_finish = part_finish.min(t);
@@ -560,17 +527,16 @@ impl SecurityEngine {
             return;
         }
         let arrival = self.cpu_cycle_for(completion.finish_cycle);
-        let txn = &mut self.transactions[(token - self.txn_base) as usize];
+        let txn = self
+            .transactions
+            .get_mut(token)
+            .expect("a tracked part belongs to an in-flight read");
         txn.remaining -= 1;
         txn.latest_arrival_cpu = txn.latest_arrival_cpu.max(arrival);
         if txn.remaining == 0 {
             let visible_at = txn.latest_arrival_cpu + txn.extra_latency;
-            while matches!(self.transactions.front(), Some(t) if t.remaining == 0) {
-                self.transactions.pop_front();
-                self.txn_base += 1;
-            }
-            self.live_txns -= 1;
-            if self.live_txns == 0 {
+            self.transactions.take(token);
+            if self.transactions.is_empty() {
                 self.min_extra_in_flight = u64::MAX;
             }
             self.ready.push(visible_at, token);
@@ -578,14 +544,22 @@ impl SecurityEngine {
     }
 }
 
-impl SecurityEngine {
-    /// The post-advance body of [`MemoryBackend::submit`]: translation,
-    /// backpressure check, and metadata/crypto accounting, with the
-    /// channel clock already at `now_mem`. Shared by the per-call and
-    /// batched ingestion paths (which differ only in how often they pay
-    /// [`Self::advance`]).
-    fn submit_at(&mut self, kind: AccessKind, addr: u64, now_mem: u64) -> Result<u64, Busy> {
+impl MemoryBackend for SecurityEngine {
+    fn submit(
+        &mut self,
+        kind: AccessKind,
+        addr: u64,
+        now: u64,
+        _is_prefetch: bool,
+    ) -> Result<u64, Busy> {
+        // Bring the channel clock up to CPU time before stamping, so
+        // enqueue timestamps are never ahead of the controller's clock.
+        let now_mem = self.mem_cycle_for(now);
+        self.advance(now_mem);
         let addr = translate(addr % DATA_SPAN);
+        // Every accepted access takes the next token; a posted write burns
+        // its token and stores nothing.
+        let token = self.next_token;
         match kind {
             AccessKind::Read => {
                 if self.dram.read_queue_len() + self.max_read_parts()
@@ -593,7 +567,6 @@ impl SecurityEngine {
                 {
                     return Err(Busy);
                 }
-                let token = self.alloc_token(true);
                 let mut parts = 0u32;
 
                 // Data fetch.
@@ -638,13 +611,14 @@ impl SecurityEngine {
                     extra += (tree_misses - 1) * per_fetch;
                 }
                 self.min_extra_in_flight = self.min_extra_in_flight.min(extra);
-                self.transactions[(token - self.txn_base) as usize] = Transaction {
-                    remaining: parts,
-                    latest_arrival_cpu: 0,
-                    extra_latency: extra,
-                };
-                self.live_txns += 1;
-                Ok(token)
+                self.transactions.insert(
+                    token,
+                    Transaction {
+                        remaining: parts,
+                        latest_arrival_cpu: 0,
+                        extra_latency: extra,
+                    },
+                );
             }
             AccessKind::Write => {
                 if self.dram.write_queue_len() >= self.dram.config().write_queue {
@@ -664,44 +638,10 @@ impl SecurityEngine {
                         let _ = self.metadata_access(leaf, true, None, now_mem, &mut parts, false);
                     }
                 }
-                // Writes are posted; token unused by the caller.
-                Ok(self.alloc_token(false))
             }
         }
-    }
-}
-
-impl MemoryBackend for SecurityEngine {
-    fn submit(
-        &mut self,
-        kind: AccessKind,
-        addr: u64,
-        now: u64,
-        _is_prefetch: bool,
-    ) -> Result<u64, Busy> {
-        // Bring the channel clock up to CPU time before stamping, so
-        // enqueue timestamps are never ahead of the controller's clock.
-        let now_mem = self.mem_cycle_for(now);
-        self.advance(now_mem);
-        self.submit_at(kind, addr, now_mem)
-    }
-
-    fn submit_batch(
-        &mut self,
-        batch: &[cpu_model::system::BatchAccess],
-        now: u64,
-        results: &mut Vec<Result<u64, Busy>>,
-    ) {
-        // One clock catch-up for the whole batch: after the first advance
-        // the per-call path's repeated advances are no-ops at the same
-        // `now`, so sharing it is observationally identical to N submits
-        // while the translation and backpressure paths run back-to-back
-        // on a hot controller.
-        let now_mem = self.mem_cycle_for(now);
-        self.advance(now_mem);
-        for access in batch {
-            results.push(self.submit_at(access.kind, access.addr, now_mem));
-        }
+        self.next_token += 1;
+        Ok(token)
     }
 
     fn advance_to(&mut self, target: u64, completions: &mut Vec<(u64, u64)>) {

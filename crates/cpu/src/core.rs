@@ -29,8 +29,9 @@ pub struct CpuConfig {
     pub advance: Advance,
     /// Issue multi-access events (prefetch volleys, writeback retries)
     /// through [`crate::system::MemoryBackend::submit_batch`] instead of
-    /// one call per access. Observationally identical either way; the
-    /// batch amortizes the backend's per-call bookkeeping.
+    /// one call per access. Observationally identical either way; a
+    /// backend may amortize per-call bookkeeping over the batch (the
+    /// built-in engines take the trait's per-access default).
     pub batch_submit: bool,
 }
 

@@ -90,8 +90,6 @@ pub struct CoreEngine {
     /// allocates only while the core reaches a new peak of outstanding
     /// misses.
     spare_waiters: Vec<Vec<u64>>,
-    /// backend token -> line address
-    token_line: FxHashMap<u64, u64>,
     /// Writebacks the backend refused; retried each cycle.
     pending_writebacks: VecDeque<u64>,
     /// A dispatch-blocked memory op waiting for backend space.
@@ -126,7 +124,6 @@ impl CoreEngine {
             instructions: 0,
             outstanding: FxHashMap::default(),
             spare_waiters: Vec::new(),
-            token_line: FxHashMap::default(),
             pending_writebacks: VecDeque::new(),
             stalled_op: None,
             chase_outstanding: None,
@@ -186,9 +183,10 @@ impl CoreEngine {
     /// handle the routed `completions`, retry refused writebacks, retire,
     /// dispatch, and re-evaluate the finish condition.
     ///
-    /// `completions` must be exactly the backend read tokens belonging to
-    /// this core that completed at `now` (the caller ticks the shared
-    /// backend once per cycle and routes tokens to their owning cores).
+    /// `completions` must be exactly the lines of this core's backend
+    /// reads that completed at `now` (the caller advances the shared
+    /// backend and routes each completed read token back to the core and
+    /// line that submitted it).
     pub fn step<B: MemoryBackend, T: Iterator<Item = TraceOp>>(
         &mut self,
         now: u64,
@@ -201,8 +199,8 @@ impl CoreEngine {
         self.step_submitted = false;
 
         // 1. Memory completions.
-        for &token in completions {
-            self.handle_completion(token, llc, backend, now);
+        for &line in completions {
+            self.handle_completion(line, llc, backend, now);
         }
 
         // 2. Retry refused writebacks — as one batch (the backend's
@@ -481,7 +479,7 @@ impl CoreEngine {
                 } else {
                     // LLC demand miss: go to memory.
                     match backend.submit(AccessKind::Read, line, now, false) {
-                        Ok(token) => {
+                        Ok(_) => {
                             self.step_submitted = true;
                             let seq = self.rob.push_load(None);
                             let mut waiters = self.spare_waiters.pop().unwrap_or_default();
@@ -494,7 +492,6 @@ impl CoreEngine {
                                     prefetch: false,
                                 },
                             );
-                            self.token_line.insert(token, line);
                             if dependent {
                                 self.chase_outstanding = Some(line);
                             }
@@ -528,7 +525,7 @@ impl CoreEngine {
                     // RFO: fetch the line for ownership; the store itself is
                     // posted and does not block retirement.
                     match backend.submit(AccessKind::Read, line, now, false) {
-                        Ok(token) => {
+                        Ok(_) => {
                             self.step_submitted = true;
                             self.outstanding.insert(
                                 line,
@@ -538,7 +535,6 @@ impl CoreEngine {
                                     prefetch: false,
                                 },
                             );
-                            self.token_line.insert(token, line);
                             self.train_prefetcher(line, llc, backend, now);
                         }
                         Err(Busy) => {
@@ -595,7 +591,7 @@ impl CoreEngine {
             backend.submit_batch(&self.batch_buf, now, &mut self.batch_results);
             // Prefetches are best-effort; rejected ones are dropped.
             for (access, result) in self.batch_buf.iter().zip(&self.batch_results) {
-                if let Ok(token) = result {
+                if result.is_ok() {
                     self.step_submitted = true;
                     self.outstanding.insert(
                         access.addr,
@@ -605,7 +601,6 @@ impl CoreEngine {
                             prefetch: true,
                         },
                     );
-                    self.token_line.insert(*token, access.addr);
                 }
             }
         } else {
@@ -615,7 +610,7 @@ impl CoreEngine {
                     continue;
                 }
                 // Prefetches are best-effort; drop when the backend is busy.
-                if let Ok(token) = backend.submit(AccessKind::Read, pf_line, now, true) {
+                if backend.submit(AccessKind::Read, pf_line, now, true).is_ok() {
                     self.step_submitted = true;
                     self.outstanding.insert(
                         pf_line,
@@ -625,7 +620,6 @@ impl CoreEngine {
                             prefetch: true,
                         },
                     );
-                    self.token_line.insert(token, pf_line);
                 }
             }
         }
@@ -633,17 +627,15 @@ impl CoreEngine {
 
     fn handle_completion<B: MemoryBackend>(
         &mut self,
-        token: u64,
+        line: u64,
         llc: &mut Cache,
         backend: &mut B,
         now: u64,
     ) {
-        let Some(line) = self.token_line.remove(&token) else {
-            return; // writes and unknown tokens are silent
-        };
-        let Some(out) = self.outstanding.remove(&line) else {
-            return;
-        };
+        let out = self
+            .outstanding
+            .remove(&line)
+            .expect("a routed completion answers an outstanding miss");
         if self.chase_outstanding == Some(line) {
             self.chase_outstanding = None;
         }

@@ -4,10 +4,11 @@
 //!
 //! [`MultiCoreSystem`] owns N [`CoreEngine`]s (each a private ROB, L1D
 //! and stream prefetcher), one shared LLC, and one [`MemoryBackend`].
-//! Completed read tokens are routed to their owning cores, so the
-//! backend is oblivious to the core count; a multi-channel backend
-//! (`ShardedEngine`) presents the same seam, which is what makes cores ×
-//! channels compose (`MultiCoreSystem<ShardedEngine>` works unchanged).
+//! Completed read tokens are routed back to their owning cores as line
+//! addresses, so the backend is oblivious to the core count; a
+//! multi-channel backend (`ShardedEngine`) presents the same seam, which
+//! is what makes cores × channels compose
+//! (`MultiCoreSystem<ShardedEngine>` works unchanged).
 //!
 //! # Scheduling
 //!
@@ -21,9 +22,9 @@
 //! * a **block-advanced backend** — the backend is touched only when its
 //!   memoized [`MemoryBackend::next_completion_event`] bound comes due,
 //!   and then advanced in one [`MemoryBackend::advance_to`] call whose
-//!   cycle-stamped completions are routed by a dense token→core table
-//!   (tokens are a dense sequence by the backend contract, so routing is
-//!   one indexed load, no hashing);
+//!   cycle-stamped completions are routed through a
+//!   [`sim_kernel::TokenWindow`] of `(core, line)` (tokens ascend by the
+//!   backend contract, so routing is one indexed load, no hashing);
 //! * a **merged event heap** — sleeping cores register wake-up bounds in
 //!   a [`sim_kernel::EventQueue`] with lazy staleness filtering
 //!   ([`sim_kernel::EventQueue::peek`] inspects without the old
@@ -59,10 +60,8 @@
 //! `controller_decision_cycles` / `controller_busy_cycles` counters in
 //! `BENCH_kernel.json` measure exactly this gap.
 
-use std::collections::VecDeque;
-
 use secddr_telemetry::{CounterSeries, SeriesSnapshot, TelemetrySnapshot};
-use sim_kernel::{EventQueue, SimClock};
+use sim_kernel::{EventQueue, SimClock, TokenWindow};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::core::CpuConfig;
@@ -73,56 +72,6 @@ use crate::trace::TraceOp;
 mod wake;
 
 pub use wake::WakeReasons;
-
-/// Sentinel in the token→core table: no routing entry (writes, and
-/// tokens whose completion was already delivered).
-const NO_OWNER: u32 = u32::MAX;
-
-/// The token→owning-core table for completion routing: a dense sliding
-/// window over the token sequence. Slot `t - base` holds the core that
-/// owns read token `t` ([`NO_OWNER`] for writes and delivered reads).
-/// Tokens ascend densely from zero (the [`MemoryBackend`] contract), so
-/// recording is amortized O(1) and never hashes; the front pops as soon
-/// as it settles, so the window spans the reads in flight, not the run.
-#[derive(Debug, Default)]
-struct TokenOwners {
-    /// Token of `slots`' front.
-    base: u64,
-    slots: VecDeque<u32>,
-}
-
-impl TokenOwners {
-    /// Records `core` as the owner of read `token`.
-    fn record(&mut self, token: u64, core: usize) {
-        if self.slots.is_empty() {
-            self.base = token;
-        }
-        let idx = token
-            .checked_sub(self.base)
-            .expect("tokens ascend (the MemoryBackend contract)");
-        let idx = usize::try_from(idx).expect("token window fits in memory");
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, NO_OWNER);
-        }
-        self.slots[idx] = core as u32;
-    }
-
-    /// Takes (and clears) the owning core of `token`, if it was a routed
-    /// read. O(1) amortized — the completion-routing hot path.
-    fn take(&mut self, token: u64) -> Option<usize> {
-        let idx = usize::try_from(token.checked_sub(self.base)?).ok()?;
-        let slot = self.slots.get_mut(idx)?;
-        let owner = std::mem::replace(slot, NO_OWNER);
-        if owner == NO_OWNER {
-            return None;
-        }
-        while self.slots.front() == Some(&NO_OWNER) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(owner as usize)
-    }
-}
 
 /// The scheduler's aggregate counters under the `multicore.*` names:
 /// the wake-reason buckets and the total core steps.
@@ -152,11 +101,12 @@ fn series_counters(
 }
 
 /// Forwards one core's backend traffic to the shared backend, recording
-/// which core owns each accepted read token so completions can be routed
-/// back. Cores never advance the shared backend — the scheduler does.
+/// the owning core and line of each accepted read token so completions can
+/// be routed back. Cores never advance the shared backend — the scheduler
+/// does.
 struct RoutedBackend<'a, B> {
     inner: &'a mut B,
-    token_owner: &'a mut TokenOwners,
+    reads: &'a mut TokenWindow<(usize, u64)>,
     core: usize,
 }
 
@@ -170,7 +120,7 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
     ) -> Result<u64, Busy> {
         let token = self.inner.submit(kind, addr, now, is_prefetch)?;
         if kind == AccessKind::Read {
-            self.token_owner.record(token, self.core);
+            self.reads.insert(token, (self.core, addr));
         }
         Ok(token)
     }
@@ -186,7 +136,7 @@ impl<B: MemoryBackend> MemoryBackend for RoutedBackend<'_, B> {
         for (access, result) in batch.iter().zip(&results[start..]) {
             if access.kind == AccessKind::Read {
                 if let Ok(token) = result {
-                    self.token_owner.record(*token, self.core);
+                    self.reads.insert(*token, (self.core, access.addr));
                 }
             }
         }
@@ -269,8 +219,8 @@ pub struct MultiCoreSystem<B> {
     llc: Cache,
     cores: Vec<CoreEngine>,
     clock: SimClock,
-    /// Token→owning-core table for completion routing.
-    token_owner: TokenOwners,
+    /// Read token → `(owning core, line)` for completion routing.
+    reads: TokenWindow<(usize, u64)>,
     /// Times each core was actually stepped (the event-driven scheduler's
     /// efficiency measure: spurious wake-ups step a core to no effect, so
     /// fewer steps at identical results is the win).
@@ -299,7 +249,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             llc: Cache::new(CacheConfig::llc()),
             cores: (0..cores).map(|_| CoreEngine::new(cfg)).collect(),
             clock: SimClock::new(),
-            token_owner: TokenOwners::default(),
+            reads: TokenWindow::default(),
             core_steps: vec![0; cores],
             wake: WakeReasons::default(),
             series: None,
@@ -418,7 +368,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             llc,
             cores,
             clock,
-            token_owner,
+            reads,
             core_steps,
             wake,
             series,
@@ -437,8 +387,8 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             stamps.clear();
             backend.advance_to(now, &mut stamps);
             for &(_, token) in &stamps {
-                if let Some(core) = token_owner.take(token) {
-                    routed[core].push(token);
+                if let Some((core, line)) = reads.take(token) {
+                    routed[core].push(line);
                 }
             }
             let mut all_finished = true;
@@ -449,7 +399,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
                 core_steps[i] += 1;
                 let mut port = RoutedBackend {
                     inner: &mut *backend,
-                    token_owner: &mut *token_owner,
+                    reads: &mut *reads,
                     core: i,
                 };
                 let outcome = cores[i].step(now, llc, &mut port, &mut traces[i], &routed[i]);
@@ -473,7 +423,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
             llc,
             cores,
             clock,
-            token_owner,
+            reads,
             core_steps,
             wake,
             series,
@@ -545,7 +495,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
                 backend_bound = backend.next_completion_event(now).unwrap_or(u64::MAX);
                 for &(at, token) in &stamps {
                     debug_assert_eq!(at, now, "completion matured inside a skipped window");
-                    let Some(core) = token_owner.take(token) else {
+                    let Some((core, line)) = reads.take(token) else {
                         continue;
                     };
                     if cores[core].finished() {
@@ -554,7 +504,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
                     if routed[core].is_empty() {
                         routed_cores.push(core);
                     }
-                    routed[core].push(token);
+                    routed[core].push(line);
                     if !awake[core] {
                         wake.completion += 1;
                         awake[core] = true;
@@ -600,7 +550,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
                 let outcome = {
                     let mut port = RoutedBackend {
                         inner: &mut *backend,
-                        token_owner: &mut *token_owner,
+                        reads: &mut *reads,
                         core: i,
                     };
                     cores[i].step(now, llc, &mut port, &mut traces[i], &routed[i])
@@ -1018,7 +968,7 @@ mod tests {
                 let traces: Vec<Vec<TraceOp>> =
                     (0..2).map(|c| mixed_trace(round * 2 + c, 40_000)).collect();
                 sys.run(traces.iter().map(|t| t.iter().copied()).collect());
-                largest = largest.max(sys.token_owner.slots.len());
+                largest = largest.max(sys.reads.span());
             }
             // The next token a backend hands out is the count issued so far.
             let issued = sys

@@ -59,8 +59,9 @@ impl std::error::Error for Busy {}
 ///
 /// Tokens are allocated as a dense ascending sequence starting at zero —
 /// one per accepted submission, reads and writes alike. Front-ends rely
-/// on this to key per-token side tables by plain index (e.g. the
-/// multi-core completion router's token→core table) instead of hashing.
+/// on this to key per-token side tables by plain index, in a
+/// [`sim_kernel::TokenWindow`] (e.g. the multi-core scheduler's
+/// token → `(core, line)` completion routing), instead of hashing.
 pub trait MemoryBackend {
     /// Submits a line-granularity access at CPU cycle `now`.
     ///

@@ -7,12 +7,13 @@
 //!   memory cycle, issue at most one command, and append the due
 //!   completions to a caller-kept buffer ([`DramSystem::tick`] wraps it
 //!   and returns a fresh vector).
-//! * [`DramSystem::tick_until`] — the event-driven path: jump between
-//!   *decision cycles* (see below), executing only the ticks that can
-//!   issue a command, flip write drain, or act on refresh, and popping
-//!   the completions that land in between at their own finish cycles.
-//!   Skipped cycles are provably no-ops, keeping command schedules,
-//!   completion streams, and statistics bit-identical to the reference.
+//! * [`DramSystem::advance_to`] with [`Advance::ToNextEvent`] — the
+//!   event-driven path: jump between *decision cycles* (see below),
+//!   executing only the ticks that can issue a command, flip write
+//!   drain, or act on refresh, and popping the completions that land in
+//!   between at their own finish cycles. Skipped cycles are provably
+//!   no-ops, keeping command schedules, completion streams, and
+//!   statistics bit-identical to the reference.
 //!
 //! # Incremental scheduling state
 //!
@@ -1003,32 +1004,17 @@ impl DramSystem {
         }
     }
 
-    /// Advances to `target` executing only decision cycles, returning
-    /// every completion tagged with the cycle it landed on (its
-    /// `finish_cycle`: skips pop completions at their own finish cycles,
-    /// and a tick pops only the ones due that cycle).
-    ///
-    /// Equivalent to `target - cycle()` sequential [`Self::tick`] calls
-    /// — identical command schedules, statistics, and completion stream,
-    /// pinned by the differential suites — but the provably no-op ticks
-    /// in between are replaced by [`Self::skip_to_next_decision`] jumps,
-    /// so a *busy* channel executes O(commands) ticks instead of
-    /// O(cycles).
-    pub fn tick_until(&mut self, target: u64) -> Vec<(u64, Completion)> {
-        self.advance_to(target, Advance::ToNextEvent)
-            .into_iter()
-            .map(|c| (c.finish_cycle, c))
-            .collect()
-    }
-
     /// Advances to `target`, returning every completion on the way.
     ///
     /// With [`Advance::ToNextEvent`] this executes only decision cycles
     /// (busy or idle), jumping over the rest with
-    /// [`Self::skip_to_next_decision`]; with [`Advance::PerCycle`] it is
-    /// exactly `target - cycle()` ticks. Both produce identical schedules
-    /// and stats, and both append, through [`Self::tick_into`], into the
-    /// one returned buffer.
+    /// [`Self::skip_to_next_decision`], so a *busy* channel executes
+    /// O(commands) ticks instead of O(cycles); with [`Advance::PerCycle`]
+    /// it is exactly `target - cycle()` ticks. Both produce identical
+    /// schedules, statistics, and completion streams (each completion
+    /// lands at its own `finish_cycle`), pinned by the differential
+    /// suites, and both append, through [`Self::tick_into`], into the one
+    /// returned buffer.
     pub fn advance_to(&mut self, target: u64, advance: Advance) -> Vec<Completion> {
         let mut done = Vec::new();
         while self.clock.now() < target {
@@ -2340,7 +2326,11 @@ mod tests {
                 }
                 now += rng.gen_range(1..400u64);
                 if event_driven {
-                    completions.extend(dram.tick_until(now));
+                    completions.extend(
+                        dram.advance_to(now, Advance::ToNextEvent)
+                            .into_iter()
+                            .map(|c| (c.finish_cycle, c)),
+                    );
                 } else {
                     while dram.cycle() < now {
                         let at = dram.cycle() + 1;
@@ -2365,7 +2355,7 @@ mod tests {
         assert_eq!(ref_t.decision_cycles, ref_s.cycles);
         assert!(
             fast_t.decision_cycles < fast_s.cycles,
-            "tick_until must execute fewer cycles than it covers: {} of {}",
+            "the event-driven advance must execute fewer cycles than it covers: {} of {}",
             fast_t.decision_cycles,
             fast_s.cycles
         );
@@ -2421,8 +2411,8 @@ mod tests {
         );
     }
 
-    /// Without refresh, the decision bound is exact: `tick_until` in
-    /// short random windows executes no no-op tick, and a starving
+    /// Without refresh, the decision bound is exact: the event-driven
+    /// `advance_to` in short random windows executes no no-op tick, and a starving
     /// request costs at most its onset tick — while the completion
     /// stream stays that of per-cycle ticks.
     #[test]
@@ -2454,7 +2444,11 @@ mod tests {
                 }
                 let target = dram.cycle() + rng.gen_range(1..41u64);
                 if event_driven {
-                    completions.extend(dram.tick_until(target));
+                    completions.extend(
+                        dram.advance_to(target, Advance::ToNextEvent)
+                            .into_iter()
+                            .map(|c| (c.finish_cycle, c)),
+                    );
                 } else {
                     while dram.cycle() < target {
                         let at = dram.cycle() + 1;

@@ -10,7 +10,7 @@
 //! the simulation (pinned by `tests/series_differential.rs`).
 //!
 //! The controller rolls the recorder *before* recording at a new `now` —
-//! including before crediting a `tick_until` skip span — so every
+//! including before crediting an event-driven skip span — so every
 //! increment (and every wholesale skipped span) lands in the epoch
 //! containing its own timestamp.
 //!

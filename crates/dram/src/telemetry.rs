@@ -7,8 +7,8 @@
 //! harness reconciles per-record totals), and instrumentation provably
 //! cannot perturb simulation state. They live outside
 //! [`DramStats`](crate::DramStats) because the per-cycle reference and
-//! `tick_until` *disagree on them by design* (that is what they
-//! measure), while `DramStats` participates in bit-identity.
+//! the event-driven advance *disagree on them by design* (that is what
+//! they measure), while `DramStats` participates in bit-identity.
 //!
 //! [`DramSystem`]: crate::DramSystem
 
@@ -30,25 +30,26 @@ pub struct DecisionCauses {
     /// PRE).
     pub refresh: u64,
     /// No command issued, but at least one completion's final data beat
-    /// landed this cycle. A completion is not a decision: under
-    /// `tick_until` it lands inside a skipped span, so this bucket only
-    /// counts ticks executed for another reason that issued nothing — a
-    /// drain flip, a starvation onset, a refresh-due arming tick — on
-    /// which data also landed; a per-cycle caller lands every completion
-    /// cycle here.
+    /// landed this cycle. A completion is not a decision: under the
+    /// event-driven advance it lands inside a skipped span, so this
+    /// bucket only counts ticks executed for another reason that issued
+    /// nothing — a drain flip, a starvation onset, a refresh-due arming
+    /// tick — on which data also landed; a per-cycle caller lands every
+    /// completion cycle here.
     pub completion: u64,
     /// The write-drain hysteresis flipped and nothing else happened.
     pub drain_flip: u64,
     /// A no-op tick while the active queue's oldest request is past the
-    /// anti-starvation limit. Under `tick_until` this is the starvation
-    /// onset tick (the decision bound then follows the starving request's
-    /// own next command), plus any tick a refresh holds it up.
+    /// anti-starvation limit. Under the event-driven advance this is the
+    /// starvation onset tick (the decision bound then follows the
+    /// starving request's own next command), plus any tick a refresh
+    /// holds it up.
     pub aging: u64,
-    /// Any other executed no-op tick. Under `tick_until` these are the
-    /// refresh-due arming ticks (a rank crossing its due time issues
-    /// nothing that cycle) and, with FCFS scheduling, row hits waiting
-    /// behind the oldest request; a per-cycle caller also lands every
-    /// dead cycle here.
+    /// Any other executed no-op tick. Under the event-driven advance
+    /// these are the refresh-due arming ticks (a rank crossing its due
+    /// time issues nothing that cycle) and, with FCFS scheduling, row
+    /// hits waiting behind the oldest request; a per-cycle caller also
+    /// lands every dead cycle here.
     pub noop: u64,
 }
 
@@ -97,8 +98,8 @@ impl DecisionCauses {
 /// skipped), with every executed cycle attributed to a
 /// [`DecisionCauses`] bucket.
 ///
-/// The per-cycle reference executes every busy cycle while `tick_until`
-/// executes only decision cycles, so these differ between bit-identical
+/// The per-cycle reference executes every busy cycle while the
+/// event-driven advance executes only decision cycles, so these differ between bit-identical
 /// runs — the noise-free form of the event-ization win on a steal-noisy
 /// host, and the breakdown that says *which* decisions dominate at high
 /// core counts.

@@ -187,13 +187,20 @@ impl Job {
 struct Worker {
     addr: String,
     writer: Option<Arc<Mutex<TcpStream>>>,
-    outstanding: usize,
     /// Cells submitted but not yet acked. The worker handles requests
     /// sequentially per connection, so acks arrive in submission order
     /// and FIFO matching is exact.
     awaiting_ack: VecDeque<(u64, usize)>,
     /// Worker-side job id → (dispatcher job, cell index).
     wjobs: HashMap<u64, (u64, usize)>,
+}
+
+impl Worker {
+    /// Cells placed on this worker that have not ended: submitted and
+    /// awaiting their ack, plus acked and running.
+    fn outstanding(&self) -> usize {
+        self.awaiting_ack.len() + self.wjobs.len()
+    }
 }
 
 struct Metrics {
@@ -378,8 +385,8 @@ impl Core {
                 .workers
                 .iter()
                 .enumerate()
-                .filter(|(_, w)| w.writer.is_some() && w.outstanding < self.max_outstanding)
-                .min_by_key(|(_, w)| w.outstanding)
+                .filter(|(_, w)| w.writer.is_some() && w.outstanding() < self.max_outstanding)
+                .min_by_key(|(_, w)| w.outstanding())
                 .map(|(i, _)| i)
             else {
                 return;
@@ -401,9 +408,9 @@ impl Core {
                 if let Some(job) = self.jobs.get_mut(&job_id) {
                     job.cells[cell_idx].state = CellState::Inflight(widx);
                 }
-                let worker = &mut self.workers[widx];
-                worker.outstanding += 1;
-                worker.awaiting_ack.push_back((job_id, cell_idx));
+                self.workers[widx]
+                    .awaiting_ack
+                    .push_back((job_id, cell_idx));
                 self.metrics.cells_dispatched.inc();
             } else {
                 self.pending.push_front((job_id, cell_idx));
@@ -506,7 +513,6 @@ impl Core {
                 // A submit was rejected before getting a job id; acks
                 // are FIFO, so the front of the queue is the casualty.
                 if let Some((job_id, _)) = self.workers[idx].awaiting_ack.pop_front() {
-                    self.workers[idx].outstanding = self.workers[idx].outstanding.saturating_sub(1);
                     let message = json
                         .get("message")
                         .and_then(Json::as_str)
@@ -554,7 +560,6 @@ impl Core {
         let Some((job_id, cell_idx)) = self.workers[idx].wjobs.remove(&event.job()) else {
             return;
         };
-        self.workers[idx].outstanding = self.workers[idx].outstanding.saturating_sub(1);
         match event {
             WireEvent::Failed { error, .. } => self.fail_job(job_id, error),
             WireEvent::Cancelled { .. } => {
@@ -585,7 +590,6 @@ impl Core {
         }
         let mut lost: Vec<(u64, usize)> = worker.awaiting_ack.drain(..).collect();
         lost.extend(worker.wjobs.drain().map(|(_, assignment)| assignment));
-        worker.outstanding = 0;
         self.metrics.worker_deaths.inc();
         self.metrics.workers_alive.set(self.alive_count());
         let mut requeued = 0u64;
@@ -625,7 +629,7 @@ impl Core {
             .map(|w| WorkerStatus {
                 addr: w.addr.clone(),
                 alive: w.writer.is_some(),
-                outstanding: w.outstanding,
+                outstanding: w.outstanding(),
             })
             .collect()
     }
@@ -750,7 +754,6 @@ impl Dispatcher {
                     workers.push(Worker {
                         addr: addr.clone(),
                         writer: Some(Arc::new(Mutex::new(stream))),
-                        outstanding: 0,
                         awaiting_ack: VecDeque::new(),
                         wjobs: HashMap::new(),
                     });
@@ -760,7 +763,6 @@ impl Dispatcher {
                     workers.push(Worker {
                         addr: addr.clone(),
                         writer: None,
-                        outstanding: 0,
                         awaiting_ack: VecDeque::new(),
                         wjobs: HashMap::new(),
                     });

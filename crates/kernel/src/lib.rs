@@ -3,7 +3,7 @@
 //!
 //! The seed simulator advanced the CPU system, the security engine, and
 //! the DRAM controller one cycle at a time even when every queue was
-//! idle. This crate provides the three pieces the layers now share:
+//! idle. This crate provides the four pieces the layers now share:
 //!
 //! * [`SimClock`] — a monotonically advancing cycle counter with explicit
 //!   single-step ([`SimClock::tick`]) and fast-forward
@@ -11,6 +11,10 @@
 //! * [`EventQueue`] — a binary-heap timestamped event queue with stable
 //!   FIFO ordering for same-cycle events, used for in-flight memory
 //!   completions at every layer;
+//! * [`TokenWindow`] — values keyed by ascending request tokens, held as
+//!   a dense sliding window: every layer's per-request id table on the
+//!   read path (engine transactions, shard token maps, completion
+//!   routing);
 //! * [`Advance`] — the advance policy. [`Advance::ToNextEvent`] lets a
 //!   layer jump its clock over provably idle stretches;
 //!   [`Advance::PerCycle`] is the reference lock-step semantics the
@@ -27,11 +31,12 @@
 #![warn(missing_docs)]
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast multiply-xor hasher (FxHash-style) for the simulators' hot
-/// integer-keyed maps (tokens, line addresses, transaction ids).
+/// integer-keyed maps (line addresses: a core's outstanding misses, a
+/// channel's queued write lines).
 ///
 /// Not DoS-resistant — simulation state is never attacker-controlled, and
 /// the default SipHash costs real wall-clock on per-event bookkeeping.
@@ -250,6 +255,92 @@ impl<T: Eq> EventQueue<T> {
     }
 }
 
+/// Values keyed by an ascending token sequence, held as a dense sliding
+/// window over the tokens.
+///
+/// Memory backends hand out request tokens in ascending order, and
+/// requests retire roughly in order, so a per-request table needs no
+/// hashing: slot `t - base` holds token `t`'s value. Tokens that never
+/// get a value (a posted write's) are vacant slots. Both ends of the
+/// window pop their vacant slots as soon as they are exposed, so the
+/// window spans the oldest to the newest live token, not the run.
+#[derive(Debug, Clone)]
+pub struct TokenWindow<T> {
+    /// Token of `slots`' front.
+    base: u64,
+    /// `None` is a vacant slot: a token never inserted, or already taken.
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> Default for TokenWindow<T> {
+    fn default() -> Self {
+        Self {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> TokenWindow<T> {
+    /// Stores `value` under `token`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is older than the oldest live token (tokens
+    /// ascend) or already holds a value.
+    pub fn insert(&mut self, token: u64, value: T) {
+        if self.slots.is_empty() {
+            self.base = token;
+        }
+        let idx = self
+            .index(token)
+            .expect("tokens ascend: a new token is never older than the window");
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        let slot = &mut self.slots[idx];
+        assert!(slot.is_none(), "token {token} inserted twice");
+        *slot = Some(value);
+    }
+
+    /// The value stored under `token`, if any.
+    pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        let idx = self.index(token)?;
+        self.slots.get_mut(idx)?.as_mut()
+    }
+
+    /// Removes and returns the value stored under `token`, if any.
+    pub fn take(&mut self, token: u64) -> Option<T> {
+        let idx = self.index(token)?;
+        let value = self.slots.get_mut(idx)?.take()?;
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while matches!(self.slots.back(), Some(None)) {
+            self.slots.pop_back();
+        }
+        Some(value)
+    }
+
+    /// True when no token holds a value.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Slots the window spans: newest live token − oldest live token + 1
+    /// (zero when empty).
+    #[must_use]
+    pub fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn index(&self, token: u64) -> Option<usize> {
+        usize::try_from(token.checked_sub(self.base)?).ok()
+    }
+}
+
 /// Folds a candidate next-event time into a running lower bound, keeping
 /// only candidates strictly after `now`.
 ///
@@ -369,5 +460,79 @@ mod tests {
     fn advance_default_is_event_driven() {
         assert!(Advance::default().is_event_driven());
         assert!(!Advance::PerCycle.is_event_driven());
+    }
+
+    #[test]
+    fn token_window_slides_past_taken_and_vacant_tokens() {
+        let mut w = TokenWindow::default();
+        w.insert(3, 'a');
+        w.insert(4, 'b');
+        w.insert(7, 'c'); // 5 and 6 stay vacant
+        assert_eq!(w.span(), 5);
+        assert_eq!(w.get_mut(5), None);
+        assert_eq!(w.take(4), Some('b'));
+        assert_eq!(w.span(), 5, "the front is still live");
+        assert_eq!(w.take(3), Some('a'));
+        assert_eq!(w.span(), 1, "the front slid over the vacant gap");
+        assert_eq!(w.take(3), None, "taken once");
+        *w.get_mut(7).unwrap() = 'd';
+        assert_eq!(w.take(7), Some('d'));
+        assert!(w.is_empty());
+        w.insert(20, 'e');
+        assert_eq!(w.span(), 1, "an empty window restarts at the next token");
+    }
+
+    #[test]
+    #[should_panic(expected = "inserted twice")]
+    fn token_window_rejects_a_second_insert() {
+        let mut w = TokenWindow::default();
+        w.insert(1, 0u8);
+        w.insert(1, 0u8);
+    }
+
+    mod token_window_model {
+        use super::super::TokenWindow;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Ascending inserts with gaps and takes in random order agree
+            /// with a `BTreeMap`, and the window never spans more than the
+            /// live tokens.
+            #[test]
+            fn matches_a_btreemap(ops in collection::vec((0u8..3, 0u64..4, any::<u64>()), 1..300)) {
+                let mut window = TokenWindow::default();
+                let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut next = 0u64;
+                for (op, gap, pick) in ops {
+                    if op == 0 {
+                        let token = next + gap;
+                        next = token + 1;
+                        window.insert(token, pick);
+                        model.insert(token, pick);
+                    } else {
+                        // Mostly a live token, sometimes any token so far
+                        // (vacant, taken, or never issued).
+                        let token = if model.is_empty() || pick % 4 == 0 {
+                            pick % (next + 2)
+                        } else {
+                            *model.keys().nth((pick % model.len() as u64) as usize).unwrap()
+                        };
+                        prop_assert_eq!(window.get_mut(token).copied(), model.get(&token).copied());
+                        if op == 1 {
+                            prop_assert_eq!(window.take(token), model.remove(&token));
+                        }
+                    }
+                    let live = match (model.keys().next(), model.keys().next_back()) {
+                        (Some(&oldest), Some(&newest)) => (newest - oldest + 1) as usize,
+                        _ => 0,
+                    };
+                    prop_assert!(window.span() <= live, "span {} > live {}", window.span(), live);
+                    prop_assert_eq!(window.is_empty(), model.is_empty());
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! a [`CounterSeries`] closes epochs lazily on clock advance, crediting
 //! each counter's change since the last close to the epoch that was open
 //! while it accumulated. Spans skipped wholesale across a window boundary
-//! (`tick_until` / `advance_to` jumps) are credited to the window they
+//! (event-driven `advance_to` jumps) are credited to the window they
 //! *land* in — deterministic, no wall-clock anywhere.
 //!
 //! Rows use the aggregate counter names where one exists

@@ -1,14 +1,25 @@
-//! Differential tests for PR 7's event-ized *busy* path:
+//! Differential tests for the controller's event-driven *busy* path:
 //!
-//! `DramSystem::tick_until(target)` must be bit-identical to `target -
-//! now` sequential `tick()` calls — same completion stream (with
-//! cycle stamps), same statistics (command counts, refresh timing,
-//! occupancy histograms), and therefore the same scheduler decisions —
-//! while executing strictly fewer cycles. The per-cycle loop is the
-//! retained reference, in the same spirit as PR 2's `NaiveRescan`.
+//! `DramSystem::advance_to(target, Advance::ToNextEvent)` must be
+//! bit-identical to `target - now` sequential `tick()` calls — same
+//! completion stream (with cycle stamps), same statistics (command
+//! counts, refresh timing, occupancy histograms), and therefore the same
+//! scheduler decisions — while executing strictly fewer cycles. The
+//! per-cycle loop is the retained reference, in the same spirit as the
+//! `NaiveRescan` scheduler.
 
 use proptest::prelude::*;
-use secddr::dram::{Advance, DramConfig, DramSystem, MemRequest, ReqKind};
+use secddr::dram::{Advance, Completion, DramConfig, DramSystem, MemRequest, ReqKind};
+
+/// The event-driven advance to `target`, each completion stamped with the
+/// cycle it landed on (its own `finish_cycle`), as the per-cycle loops
+/// stamp theirs.
+fn advance_stamped(dram: &mut DramSystem, target: u64) -> Vec<(u64, Completion)> {
+    dram.advance_to(target, Advance::ToNextEvent)
+        .into_iter()
+        .map(|c| (c.finish_cycle, c))
+        .collect()
+}
 
 /// One step of a randomized controller workload.
 #[derive(Debug, Clone, Copy)]
@@ -32,9 +43,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `tick_until` ≡ sequential ticks across random traffic, rank
-    /// counts, FCFS modes, and drain boundaries. The event-driven run
-    /// also re-validates the controller's incremental state (including
+    /// The event-driven advance ≡ sequential ticks across random
+    /// traffic, rank counts, FCFS modes, and drain boundaries. The
+    /// event-driven run also re-validates the controller's incremental state (including
     /// the exact readiness snapshots) after every jump and at the end.
     #[test]
     fn tick_until_matches_sequential_ticks(
@@ -59,7 +70,7 @@ proptest! {
                     Step::Jump(n) => {
                         let target = dram.cycle() + u64::from(n);
                         if event_driven {
-                            completions.extend(dram.tick_until(target));
+                            completions.extend(advance_stamped(&mut dram, target));
                             dram.validate_incremental_state()
                                 .expect("incremental state consistent");
                         } else {
@@ -76,7 +87,7 @@ proptest! {
             // Drain so in-flight work is also compared.
             let target = dram.cycle() + 20_000;
             if event_driven {
-                completions.extend(dram.tick_until(target));
+                completions.extend(advance_stamped(&mut dram, target));
                 dram.validate_incremental_state().expect("incremental state consistent");
             } else {
                 while dram.cycle() < target {
@@ -100,8 +111,7 @@ proptest! {
         prop_assert_eq!(ref_t.causes.total(), ref_t.decision_cycles);
     }
 
-    /// `advance_to(_, ToNextEvent)` (which rides `tick_until`) returns
-    /// the same completion batches as the per-cycle policy at every
+    /// `advance_to(_, ToNextEvent)` returns the same completion batches as the per-cycle policy at every
     /// interleaving boundary, not just in aggregate.
     #[test]
     fn advance_to_policies_agree_per_window(
@@ -132,8 +142,8 @@ proptest! {
     }
 }
 
-/// Refresh timing across long idle-and-busy spans: a single `tick_until`
-/// jump over several tREFI intervals must arm, serialize, and issue
+/// Refresh timing across long idle-and-busy spans: a single event-driven
+/// `advance_to` jump over several tREFI intervals must arm, serialize, and issue
 /// exactly the refreshes the per-cycle reference does.
 #[test]
 fn tick_until_preserves_refresh_timing_over_long_spans() {
@@ -155,7 +165,7 @@ fn tick_until_preserves_refresh_timing_over_long_spans() {
             }
             let target = dram.cycle() + 40_000;
             if event_driven {
-                completions.extend(dram.tick_until(target));
+                completions.extend(advance_stamped(&mut dram, target));
             } else {
                 while dram.cycle() < target {
                     let at = dram.cycle() + 1;
