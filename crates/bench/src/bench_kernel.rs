@@ -2,7 +2,7 @@
 //! per-cycle reference vs the event-driven kernel, written to
 //! `BENCH_kernel.json`.
 //!
-//! Four records are reported:
+//! The records reported:
 //!
 //! * **fig6_smoke_sweep** — the full 29-benchmark × 6-configuration
 //!   matrix `fig6_performance` runs, at a reduced smoke budget. This
@@ -13,9 +13,6 @@
 //!   long quiet stalls dominate and idle-skipping pays directly.
 //! * **dram_idle_gaps** — the bare DDR4 controller advanced across bursty
 //!   traffic with long idle gaps, the kernel's strongest case.
-//! * **batched_ingestion** — `MemoryBackend::submit_batch` against one
-//!   `submit` call per access on the bare engine, with identical
-//!   statistics asserted before timing is reported.
 //! * **shard_scaling_nN** (N = 1, 2, 4, 8) — the pointer-chase workload
 //!   through `CpuSystem` over a `ShardedEngine` with N interleaved
 //!   channels, per-cycle vs event-driven. Per-shard traffic thins as N
@@ -70,12 +67,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cpu_model::system::{AccessKind, BatchAccess, MemoryBackend, SimResult};
+use cpu_model::system::SimResult;
 use cpu_model::{CpuSystem, TraceOp};
 use dram_sim::{ControllerTelemetry, DramConfig, DramStats, DramSystem, MemRequest, ReqKind};
 use secddr_channels::{Interleave, ShardedEngine};
 use secddr_core::config::SecurityConfig;
-use secddr_core::engine::{EngineOptions, EngineStats, SecurityEngine};
+use secddr_core::engine::{EngineOptions, EngineStats};
 use secddr_core::metadata::DATA_SPAN;
 use secddr_core::system::{run_trace_with_options, RunParams};
 use secddr_multicore::{CoreTrace, MultiCoreResult, MultiCoreSystem, WakeReasons};
@@ -154,51 +151,6 @@ fn dram_idle_gap_secs(advance: Advance) -> f64 {
         let _ = dram.advance_to(200_000, advance);
     }
     start.elapsed().as_secs_f64()
-}
-
-/// Bare-engine ingestion microbenchmark: volleys of accesses fed either
-/// through `submit_batch` or one `submit` per access, returning the
-/// elapsed seconds and the final engine statistics (asserted identical
-/// across modes by the caller).
-fn ingestion_run(batched: bool) -> (f64, secddr_core::engine::EngineStats) {
-    let start = Instant::now();
-    let mut last_stats = None;
-    for _rep in 0..6u64 {
-        let mut engine = SecurityEngine::new(SecurityConfig::secddr_ctr(), 3200);
-        let mut results = Vec::new();
-        let mut batch = Vec::with_capacity(8);
-        let mut now = 100u64;
-        for volley in 0..4_000u64 {
-            batch.clear();
-            for i in 0..8u64 {
-                let x = volley * 8 + i;
-                batch.push(BatchAccess {
-                    kind: if x % 4 == 0 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                    addr: (x.wrapping_mul(0x9E37_79B9) << 6) & ((1 << 33) - 1),
-                    is_prefetch: false,
-                });
-            }
-            results.clear();
-            if batched {
-                engine.submit_batch(&batch, now, &mut results);
-            } else {
-                for b in &batch {
-                    results.push(engine.submit(b.kind, b.addr, now, b.is_prefetch));
-                }
-            }
-            now += 120;
-            let _ = engine.tick(now);
-        }
-        last_stats = Some(engine.stats());
-    }
-    (
-        start.elapsed().as_secs_f64(),
-        last_stats.expect("at least one rep"),
-    )
 }
 
 /// One `CpuSystem`-over-`ShardedEngine` run: simulated results (for the
@@ -716,19 +668,6 @@ pub fn report(instructions: u64, seed: u64) -> String {
     let dram_fast =
         dram_idle_gap_secs(Advance::ToNextEvent).min(dram_idle_gap_secs(Advance::ToNextEvent));
 
-    // Batched ingestion: per-call is the "reference" column, the batch is
-    // the "fast" column; statistics must be identical before timing
-    // counts.
-    let (per_call_a, per_call_stats) = ingestion_run(false);
-    let (batch_a, batch_stats) = ingestion_run(true);
-    assert_eq!(
-        per_call_stats, batch_stats,
-        "submit_batch diverged from per-call submits"
-    );
-    let (batch_b, _) = ingestion_run(true);
-    let (per_call_b, _) = ingestion_run(false);
-    let (batch_secs, per_call_secs) = (batch_a.min(batch_b), per_call_a.min(per_call_b));
-
     let mut records = vec![
         Record {
             name: "fig6_smoke_sweep",
@@ -759,18 +698,6 @@ pub fn report(instructions: u64, seed: u64) -> String {
             detail: "bare DDR4 controller, bursty traffic over 200k-cycle windows".into(),
             ref_secs: dram_ref,
             fast_secs: dram_fast,
-            core_steps: None,
-            controller_cycles: None,
-            telemetry: None,
-            series: None,
-        },
-        Record {
-            name: "batched_ingestion",
-            detail: "bare engine, 8-access volleys: submit_batch vs per-call submit \
-                     (columns: per-call, batched)"
-                .into(),
-            ref_secs: per_call_secs,
-            fast_secs: batch_secs,
             core_steps: None,
             controller_cycles: None,
             telemetry: None,

@@ -41,6 +41,17 @@
 //! implementations over the same traffic and require bit-identical
 //! schedules.
 //!
+//! # One command path
+//!
+//! Every ACT, PRE, READ, WRITE and REF goes through one private
+//! `DramSystem::issue`, which applies the command's timing, counts it,
+//! dirties the readiness snapshots it moves and reclassifies the bank
+//! FIFOs, whether the scheduler or the refresh manager chose it. The
+//! rules that choose a command are each written once and read by both
+//! the pick and the decision bound below: `refresh_command` is the
+//! refresh manager's next command, and `request_command` (with
+//! `prep_command` for a row miss) is a queued request's.
+//!
 //! # The decision bound
 //!
 //! Most ticks of a busy channel are still no-ops — every candidate
@@ -192,6 +203,22 @@ pub enum SchedAction {
         /// Arrival position of the request.
         idx: usize,
     },
+}
+
+/// One DDR4 command as [`DramSystem::issue`] applies it: the scheduler
+/// turns its [`SchedAction`] into one, and the refresh manager picks
+/// its PRE or REF with [`DramSystem::refresh_command`].
+#[derive(Debug, Clone, Copy)]
+enum Command {
+    /// Open `row` in flat bank `bank`.
+    Act { bank: usize, row: u32 },
+    /// Close flat bank `bank`'s open row.
+    Pre { bank: usize },
+    /// READ/WRITE for the queued `kind` request at arrival position
+    /// `idx`, completing it.
+    Col { kind: ReqKind, idx: usize },
+    /// Refresh rank `rank`, every bank of which is closed.
+    Ref { rank: usize },
 }
 
 /// Per-queue incremental scheduler state: the arrival-ordered request
@@ -758,25 +785,20 @@ impl DramSystem {
             return DecisionMemo { at: bound, due: 0 };
         };
         let q = self.sched(kind);
-        let Some((_, oldest)) = q.oldest() else {
+        let Some((oldest_idx, oldest)) = q.oldest() else {
             return DecisionMemo { at: bound, due: 0 };
         };
         // Anti-starvation: from the tick at which the oldest request's
         // age first exceeds the limit, only that request may act, so its
-        // own next command bounds the scheduler (mirroring the starving
-        // branch of `pick_action_incremental`). The state persists until
-        // that request issues — itself a decision cycle. A refresh
-        // pending on its rank blocks it until the refresh resolves,
-        // which `fold_refresh_decision` already covers.
+        // own next command bounds the scheduler, as it does the pick.
+        // The state persists until that request issues — itself a
+        // decision cycle. A refresh pending on its rank blocks it until
+        // the refresh resolves, which `fold_refresh_decision` already
+        // covers.
         let onset = oldest.req.enqueue_cycle + self.starvation_limit + 1;
         if onset <= now + 1 {
-            let fb = oldest.flat_bank;
             if !self.ranks[oldest.decoded.rank as usize].refresh_pending {
-                let ready = if self.banks[fb].open_row == Some(oldest.decoded.row) {
-                    self.col_ready_at(kind, fb)
-                } else {
-                    self.prep_ready_at(fb)
-                };
+                let (ready, _) = self.request_command(kind, oldest_idx, oldest);
                 fold_ready_event(now, &mut bound, ready);
             }
             return DecisionMemo {
@@ -837,43 +859,52 @@ impl DramSystem {
         (u64::MAX >> (64 - bpr)) << (r << self.rank_shift)
     }
 
-    /// Folds the refresh machinery's next possible action into `bound`,
-    /// mirroring [`Self::issue_refresh`]'s serialized rank scan: due
-    /// crossings arm ranks (and gate column issue, so the crossing cycle
-    /// itself must execute), and the scan's first pending rank acts via
-    /// its first open bank's precharge or, with all banks closed, a REF
-    /// once every tRP/tRFC window has elapsed. Later pending ranks wait
-    /// behind the first — their resolution starts no earlier than its.
+    /// Flat banks of rank `r`.
+    fn rank_banks(&self, r: usize) -> std::ops::Range<usize> {
+        r << self.rank_shift..(r + 1) << self.rank_shift
+    }
+
+    /// Folds the refresh machinery's next possible action into `bound`:
+    /// due crossings arm ranks (and gate column issue, so the crossing
+    /// cycle itself must execute), and [`Self::refresh_command`] is the
+    /// pending rank's next command.
     fn fold_refresh_decision(&self, now: u64, bound: &mut u64) {
         if !self.refresh_pending_any {
-            if self.refresh_due_min != u64::MAX {
-                fold_ready_event(now, bound, self.refresh_due_min);
-            }
+            fold_ready_event(now, bound, self.refresh_due_min);
             return;
         }
-        let bpr = (self.cfg.bank_groups * self.cfg.banks_per_group) as usize;
-        let mut parked = false;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            if !rank.refresh_pending {
-                fold_ready_event(now, bound, rank.refresh_due);
-                continue;
-            }
-            if parked {
-                continue;
-            }
-            parked = true;
-            let base = r * bpr;
-            match (base..base + bpr).find(|&b| self.banks[b].open_row.is_some()) {
-                Some(b) => fold_ready_event(now, bound, self.banks[b].next_pre),
-                None => {
-                    let ready = (base..base + bpr)
-                        .map(|b| self.banks[b].next_act)
-                        .max()
-                        .unwrap_or(now);
-                    fold_ready_event(now, bound, ready);
-                }
-            }
+        for rank in self.ranks.iter().filter(|rank| !rank.refresh_pending) {
+            fold_ready_event(now, bound, rank.refresh_due);
         }
+        if let Some((ready, _)) = self.refresh_command() {
+            fold_ready_event(now, bound, ready);
+        }
+    }
+
+    /// The refresh manager's next command and the earliest cycle it can
+    /// issue, or `None` with no refresh pending. The first pending rank
+    /// (in index order) precharges its first open bank; with every bank
+    /// closed it refreshes once each tRP/tRFC window has elapsed.
+    ///
+    /// Refresh management is serialized across ranks: it parks on the
+    /// first pending rank until that rank's REF, and later pending ranks
+    /// wait their turn, so it issues at most one command per cycle.
+    /// [`Self::issue_refresh`] arms due ranks only up to the first
+    /// pending one, so an earlier rank crossing its due time can still
+    /// pre-empt the parked rank. `refresh_is_serialized_across_ranks`
+    /// pins this ordering.
+    fn refresh_command(&self) -> Option<(u64, Command)> {
+        let rank = self.ranks.iter().position(|rank| rank.refresh_pending)?;
+        let banks = self.rank_banks(rank);
+        Some(
+            match banks.clone().find(|&b| self.banks[b].open_row.is_some()) {
+                Some(bank) => (self.banks[bank].next_pre, Command::Pre { bank }),
+                None => (
+                    banks.map(|b| self.banks[b].next_act).max().unwrap_or(0),
+                    Command::Ref { rank },
+                ),
+            },
+        )
     }
 
     /// Earliest cycle any of `flat_bank`'s requests in the `kind` queue
@@ -889,9 +920,37 @@ impl DramSystem {
             t = self.col_ready_at(kind, flat_bank);
         }
         if q.miss_mask & bit != 0 {
-            t = t.min(self.prep_ready_at(flat_bank));
+            let front = q.misses[flat_bank][0] as usize;
+            t = t.min(self.prep_command(flat_bank, front).0);
         }
         t
+    }
+
+    /// The next command of the queued `kind` request `e` at arrival
+    /// position `idx` and the earliest cycle it meets its timing: its
+    /// column command on a row hit, else [`Self::prep_command`]. Refresh
+    /// blackouts are left to the caller. The scheduler's pick and the
+    /// decision bound both read it.
+    fn request_command(&self, kind: ReqKind, idx: usize, e: &QueuedReq) -> (u64, SchedAction) {
+        if self.banks[e.flat_bank].open_row == Some(e.decoded.row) {
+            (
+                self.col_ready_at(kind, e.flat_bank),
+                SchedAction::Column { kind, idx },
+            )
+        } else {
+            self.prep_command(e.flat_bank, idx)
+        }
+    }
+
+    /// The command that prepares `flat_bank` for the row miss at arrival
+    /// position `idx` and the earliest cycle it can issue: a PRE with a
+    /// row open, else an ACT.
+    fn prep_command(&self, flat_bank: usize, idx: usize) -> (u64, SchedAction) {
+        let bank = &self.banks[flat_bank];
+        match bank.open_row {
+            Some(_) => (bank.next_pre, SchedAction::Precharge { idx }),
+            None => (self.act_ready_at(flat_bank), SchedAction::Activate { idx }),
+        }
     }
 
     /// Earliest cycle a `kind` column command to `flat_bank`'s open row
@@ -930,16 +989,6 @@ impl DramSystem {
             .max(rank.next_col_any)
             .max(rank.next_col_same_bg[bg])
             .max((self.bus_busy_until + bubble).saturating_sub(lat))
-    }
-
-    /// Earliest cycle `flat_bank` can be prepared for a row miss: its
-    /// PRE with a row open, else its ACT.
-    fn prep_ready_at(&self, flat_bank: usize) -> u64 {
-        let bank = &self.banks[flat_bank];
-        match bank.open_row {
-            Some(_) => bank.next_pre,
-            None => self.act_ready_at(flat_bank),
-        }
     }
 
     /// Earliest cycle an ACT to closed `flat_bank` meets tRP/tRFC,
@@ -1152,7 +1201,6 @@ impl DramSystem {
         } else {
             (false, self.issue_scheduled())
         };
-        let issued = refreshed || issued_hit.is_some();
         let held = done.len();
         while let Some((_, c)) = self.pending.pop_due(now) {
             done.push(c);
@@ -1179,11 +1227,6 @@ impl DramSystem {
             self.telemetry.causes.aging += 1;
         } else {
             self.telemetry.causes.noop += 1;
-        }
-        // A tick that issued nothing leaves the memoized bound valid: a
-        // completion pop changes no scheduler state.
-        if issued {
-            self.next_decision_cache.set(None);
         }
     }
 
@@ -1223,69 +1266,30 @@ impl DramSystem {
     }
 
     /// Handles refresh management; returns true if it used this cycle's
-    /// command slot.
+    /// command slot. Due ranks are armed in index order up to the first
+    /// pending one, which [`Self::refresh_command`] then acts for.
     fn issue_refresh(&mut self) -> bool {
         let now = self.clock.now();
-        // Fast exit: nothing pending and nothing newly due — the scan
-        // below would be a no-op.
+        // Fast exit: nothing pending and nothing newly due.
         if !self.refresh_pending_any && now < self.refresh_due_min {
             return false;
         }
-        for r in 0..self.ranks.len() {
-            if now >= self.ranks[r].refresh_due {
-                self.ranks[r].refresh_pending = true;
+        for rank in &mut self.ranks {
+            if now >= rank.refresh_due {
+                rank.refresh_pending = true;
                 self.refresh_pending_any = true;
             }
-            if !self.ranks[r].refresh_pending {
-                continue;
+            if rank.refresh_pending {
+                break;
             }
-            // Precharge any open bank in this rank (one command per cycle).
-            let bpr = (self.cfg.bank_groups * self.cfg.banks_per_group) as usize;
-            let base = r * bpr;
-            for b in base..base + bpr {
-                if self.banks[b].open_row.is_some() {
-                    if now >= self.banks[b].next_pre {
-                        self.banks[b].open_row = None;
-                        self.banks[b].next_act = self.banks[b].next_act.max(now + self.cfg.t_rp);
-                        self.stats.precharges += 1;
-                        self.on_bank_precharged(b);
-                        return true;
-                    }
-                    // An open bank not yet prechargeable: refresh
-                    // management is intentionally serialized across
-                    // ranks — the scan parks on its first pending rank
-                    // until that rank's refresh completes, and later
-                    // pending ranks wait their turn (at most one
-                    // refresh-management command per cycle; earlier
-                    // ranks crossing their due time can still pre-empt
-                    // the parked rank on a later scan). The decision
-                    // bound and `refresh_is_serialized_across_ranks`
-                    // pin exactly this ordering.
-                    return false;
-                }
-            }
-            // All banks closed: issue REF once tRP windows have elapsed.
-            let ready = (base..base + bpr).all(|b| now >= self.banks[b].next_act);
-            if ready {
-                for b in base..base + bpr {
-                    self.banks[b].next_act = now + self.cfg.t_rfc;
-                }
-                *self.bank_dirty.get_mut() |= self.rank_bank_mask(r);
-                self.ranks[r].refresh_due += self.cfg.t_refi;
-                self.ranks[r].refresh_pending = false;
-                self.refresh_due_min = self
-                    .ranks
-                    .iter()
-                    .map(|rk| rk.refresh_due)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                self.refresh_pending_any = self.ranks.iter().any(|rk| rk.refresh_pending);
-                self.stats.refreshes += 1;
-                return true;
-            }
-            return false;
         }
-        false
+        match self.refresh_command() {
+            Some((ready, command)) if now >= ready => {
+                self.issue(command);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Runs the scheduler; `Some(row_hit)` when a command issued —
@@ -1293,24 +1297,42 @@ impl DramSystem {
     /// path (column after PRE/ACT, or the PRE/ACT itself). The flag
     /// feeds the decision-cause attribution in [`Self::tick`].
     fn issue_scheduled(&mut self) -> Option<bool> {
-        let kind = if self.draining_writes {
-            ReqKind::Write
-        } else if !self.read_sched.is_empty() {
-            ReqKind::Read
-        } else {
-            return None;
-        };
+        let kind = self.sched_kind()?;
         let action = match self.scheduler_mode {
             SchedulerMode::Incremental => self.pick_action_incremental(kind),
             SchedulerMode::NaiveRescan => self.pick_action_rescan(kind),
+        }?;
+        // Classify before issuing: a column issue removes its entry.
+        let (row_hit, bank, command) = match action {
+            SchedAction::Column { kind, idx } => {
+                let e = self.sched(kind).req(idx);
+                (!e.touched, e.flat_bank, Command::Col { kind, idx })
+            }
+            SchedAction::Precharge { idx } | SchedAction::Activate { idx } => {
+                let e = match kind {
+                    ReqKind::Read => self.read_sched.req_mut(idx),
+                    ReqKind::Write => self.write_sched.req_mut(idx),
+                };
+                e.touched = true;
+                let bank = e.flat_bank;
+                let command = match action {
+                    SchedAction::Activate { .. } => Command::Act {
+                        bank,
+                        row: e.decoded.row,
+                    },
+                    _ => Command::Pre { bank },
+                };
+                (false, bank, command)
+            }
         };
-        let a = action?;
-        // Classify before applying: a column issue removes its entry.
-        let row_hit = match a {
-            SchedAction::Column { kind, idx } => !self.sched(kind).req(idx).touched,
-            SchedAction::Precharge { .. } | SchedAction::Activate { .. } => false,
-        };
-        self.apply_action(a);
+        // Per-bank heatmap: exactly one scheduler command per issuing
+        // tick, so the bank rows sum to issue_hit + issue_miss exactly
+        // (refresh-path commands are the `refresh` cause, not counted
+        // here).
+        if let Some((_, counts)) = &mut self.series {
+            counts.bank_issues[bank] += 1;
+        }
+        self.issue(command);
         Some(row_hit)
     }
 
@@ -1398,41 +1420,19 @@ impl DramSystem {
             }
         }
 
-        // Pass 2: prepare the oldest serviceable request (PRE or ACT), or
-        // issue its column command if it is a starving / FCFS-head row
-        // hit.
-        if starving {
-            // Only the globally oldest request may act.
-            let e = oldest;
-            let fb = e.flat_bank;
-            if self.ranks[e.decoded.rank as usize].refresh_pending {
-                return None;
-            }
-            return match self.banks[fb].open_row {
-                Some(row) if row == e.decoded.row => {
-                    self.col_cmd_ready(kind, fb).then_some(SchedAction::Column {
-                        kind,
-                        idx: oldest_idx,
-                    })
+        // Pass 2: the oldest request's next command, when it is ready.
+        // Being globally oldest, it beats every other candidate. Under
+        // FCFS only it may issue a column command (younger requests may
+        // still prepare their banks); once it starves only it may act.
+        if starving || self.cfg.fcfs {
+            if !self.ranks[oldest.decoded.rank as usize].refresh_pending {
+                let (ready, action) = self.request_command(kind, oldest_idx, oldest);
+                if now >= ready {
+                    return Some(action);
                 }
-                Some(_) => (now >= self.banks[fb].next_pre)
-                    .then_some(SchedAction::Precharge { idx: oldest_idx }),
-                None => self
-                    .act_ready(fb)
-                    .then_some(SchedAction::Activate { idx: oldest_idx }),
-            };
-        }
-
-        // FCFS: only the globally oldest request may issue its column
-        // command; being globally oldest, it beats every other candidate.
-        if self.cfg.fcfs {
-            let e = oldest;
-            let fb = e.flat_bank;
-            if self.banks[fb].open_row == Some(e.decoded.row) && self.col_cmd_ready(kind, fb) {
-                return Some(SchedAction::Column {
-                    kind,
-                    idx: oldest_idx,
-                });
+            }
+            if starving {
+                return None;
             }
         }
 
@@ -1449,17 +1449,9 @@ impl DramSystem {
             if best.as_ref().is_some_and(|&(b, _)| b < idx) {
                 continue;
             }
-            match self.banks[fb].open_row {
-                Some(_) => {
-                    if now >= self.banks[fb].next_pre {
-                        best = Some((idx, SchedAction::Precharge { idx: idx as usize }));
-                    }
-                }
-                None => {
-                    if self.act_ready(fb) {
-                        best = Some((idx, SchedAction::Activate { idx: idx as usize }));
-                    }
-                }
+            let (ready, action) = self.prep_command(fb, idx as usize);
+            if now >= ready {
+                best = Some((idx, action));
             }
         }
         best.map(|(_, a)| a)
@@ -1517,108 +1509,8 @@ impl DramSystem {
         None
     }
 
-    fn apply_action(&mut self, action: SchedAction) {
-        let now = self.clock.now();
-        // Per-bank heatmap: exactly one scheduler command per issuing
-        // tick, so the bank rows sum to issue_hit + issue_miss exactly
-        // (refresh-path commands are the `refresh` cause, not counted
-        // here). Field accesses only — no helper calls — so the series
-        // borrow stays disjoint from the queue reads.
-        if self.series.is_some() {
-            let fb = match action {
-                SchedAction::Column {
-                    kind: ReqKind::Read,
-                    idx,
-                } => self.read_sched.req(idx).flat_bank,
-                SchedAction::Column {
-                    kind: ReqKind::Write,
-                    idx,
-                } => self.write_sched.req(idx).flat_bank,
-                SchedAction::Precharge { idx } | SchedAction::Activate { idx } => {
-                    if self.draining_writes {
-                        self.write_sched.req(idx).flat_bank
-                    } else {
-                        self.read_sched.req(idx).flat_bank
-                    }
-                }
-            };
-            if let Some((_, counts)) = &mut self.series {
-                counts.bank_issues[fb] += 1;
-            }
-        }
-        match action {
-            SchedAction::Column { kind, idx } => self.issue_col_cmd(kind, idx),
-            SchedAction::Precharge { idx } => {
-                let q = match self.draining_writes {
-                    true => &mut self.write_sched,
-                    false => &mut self.read_sched,
-                };
-                let fb = q.req(idx).flat_bank;
-                q.req_mut(idx).touched = true;
-                self.banks[fb].open_row = None;
-                self.banks[fb].next_act = self.banks[fb].next_act.max(now + self.cfg.t_rp);
-                self.stats.precharges += 1;
-                self.on_bank_precharged(fb);
-            }
-            SchedAction::Activate { idx } => {
-                let q = match self.draining_writes {
-                    true => &mut self.write_sched,
-                    false => &mut self.read_sched,
-                };
-                q.req_mut(idx).touched = true;
-                let (decoded, fb) = {
-                    let e = q.req(idx);
-                    (e.decoded, e.flat_bank)
-                };
-                self.issue_act(&decoded, fb);
-                self.on_bank_activated(fb, decoded.row);
-            }
-        }
-    }
-
-    /// Reclassifies both queues' eligibility FIFOs after `flat_bank`
-    /// opened `row`.
-    fn on_bank_activated(&mut self, flat_bank: usize, row: u32) {
-        self.read_sched.on_activate(flat_bank, row);
-        self.write_sched.on_activate(flat_bank, row);
-        self.bank_ready[flat_bank].set(None);
-    }
-
-    /// Reclassifies both queues' eligibility FIFOs after `flat_bank`
-    /// closed its row (scheduler PRE or refresh-path PRE).
-    ///
-    /// The bank's readiness snapshot is dropped: reclassified hits now
-    /// wait on an ACT, which can be *earlier* than the snapshot's column
-    /// term (e.g. tRP elapsing before a long write-to-read turnaround).
-    fn on_bank_precharged(&mut self, flat_bank: usize) {
-        self.read_sched.on_precharge(flat_bank);
-        self.write_sched.on_precharge(flat_bank);
-        self.bank_ready[flat_bank].set(None);
-    }
-
     fn act_ready(&self, flat_bank: usize) -> bool {
         self.clock.now() >= self.act_ready_at(flat_bank)
-    }
-
-    fn issue_act(&mut self, d: &DecodedAddr, flat_bank: usize) {
-        let now = self.clock.now();
-        let bank = &mut self.banks[flat_bank];
-        bank.open_row = Some(d.row);
-        bank.next_read = now + self.cfg.t_rcd;
-        bank.next_write = now + self.cfg.t_rcd;
-        bank.next_pre = bank.next_pre.max(now + self.cfg.t_ras);
-        let rank = &mut self.ranks[d.rank as usize];
-        rank.next_act_any = rank.next_act_any.max(now + self.cfg.t_rrd_s);
-        let bg = d.bank_group as usize;
-        rank.next_act_same_bg[bg] = rank.next_act_same_bg[bg].max(now + self.cfg.t_rrd_l);
-        rank.record_act(now);
-        self.stats.activates += 1;
-        // tRRD/tFAW moved for every closed bank of the rank.
-        let base = (d.rank as usize) << self.rank_shift;
-        let closed = (base..base + (1 << self.rank_shift))
-            .filter(|&b| self.banks[b].open_row.is_none())
-            .fold(1 << flat_bank, |m, b| m | 1 << b);
-        *self.bank_dirty.get_mut() |= closed;
     }
 
     fn col_cmd_ready(&self, kind: ReqKind, flat_bank: usize) -> bool {
@@ -1626,6 +1518,74 @@ impl DramSystem {
             && self.clock.now() >= self.col_ready_at(kind, flat_bank)
     }
 
+    /// Issues `command` this cycle, whether the FR-FCFS scheduler or the
+    /// refresh manager chose it — the one place a DDR4 command is
+    /// issued. It applies the command's timing, counts it in the
+    /// statistics, dirties the readiness snapshots it moves (see the
+    /// module doc) and reclassifies the bank FIFOs.
+    fn issue(&mut self, command: Command) {
+        let now = self.clock.now();
+        match command {
+            Command::Act { bank: fb, row } => {
+                let (r, bg) = self.rank_and_bg_of(fb);
+                let bank = &mut self.banks[fb];
+                bank.open_row = Some(row);
+                bank.next_read = now + self.cfg.t_rcd;
+                bank.next_write = now + self.cfg.t_rcd;
+                bank.next_pre = bank.next_pre.max(now + self.cfg.t_ras);
+                let rank = &mut self.ranks[r];
+                rank.next_act_any = rank.next_act_any.max(now + self.cfg.t_rrd_s);
+                rank.next_act_same_bg[bg] = rank.next_act_same_bg[bg].max(now + self.cfg.t_rrd_l);
+                rank.record_act(now);
+                self.stats.activates += 1;
+                // tRRD/tFAW moved for every closed bank of the rank.
+                let closed = self
+                    .rank_banks(r)
+                    .filter(|&b| self.banks[b].open_row.is_none())
+                    .fold(1 << fb, |m, b| m | 1 << b);
+                *self.bank_dirty.get_mut() |= closed;
+                self.read_sched.on_activate(fb, row);
+                self.write_sched.on_activate(fb, row);
+                self.bank_ready[fb].set(None);
+            }
+            Command::Pre { bank: fb } => {
+                let bank = &mut self.banks[fb];
+                bank.open_row = None;
+                bank.next_act = bank.next_act.max(now + self.cfg.t_rp);
+                self.stats.precharges += 1;
+                // The snapshot is dropped: reclassified hits now wait on
+                // an ACT, which can be *earlier* than the snapshot's
+                // column term (e.g. tRP elapsing before a long
+                // write-to-read turnaround).
+                self.read_sched.on_precharge(fb);
+                self.write_sched.on_precharge(fb);
+                self.bank_ready[fb].set(None);
+            }
+            Command::Col { kind, idx } => self.issue_col_cmd(kind, idx),
+            Command::Ref { rank: r } => {
+                let banks = self.rank_banks(r);
+                for bank in &mut self.banks[banks] {
+                    bank.next_act = now + self.cfg.t_rfc;
+                }
+                *self.bank_dirty.get_mut() |= self.rank_bank_mask(r);
+                let rank = &mut self.ranks[r];
+                rank.refresh_due += self.cfg.t_refi;
+                rank.refresh_pending = false;
+                self.refresh_due_min = self
+                    .ranks
+                    .iter()
+                    .map(|rank| rank.refresh_due)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                self.refresh_pending_any = self.ranks.iter().any(|rank| rank.refresh_pending);
+                self.stats.refreshes += 1;
+            }
+        }
+        self.next_decision_cache.set(None);
+    }
+
+    /// [`Self::issue`]'s READ/WRITE: completes the queued `kind` request
+    /// at arrival position `idx`.
     fn issue_col_cmd(&mut self, kind: ReqKind, idx: usize) {
         let now = self.clock.now();
         self.credit_occupancy();
@@ -2397,11 +2357,15 @@ mod tests {
             .unwrap();
         // While rank 0's bank cannot precharge, *no* rank refreshes —
         // rank 1 is due with every bank closed and ready, but waits
-        // behind the scan's first pending rank (the serialization the
-        // issue_refresh comment documents).
+        // behind the first pending rank, where arming stops (the
+        // serialization `refresh_command` documents).
         let blocked_until = t_refi - 4 + 1 + t_ras; // ACT cycle + tRAS
         let _ = dram.advance_to(blocked_until - 1, Advance::PerCycle);
         assert!(dram.stats().refreshes == 0 && dram.stats().precharges == 0);
+        assert!(
+            dram.ranks[0].refresh_pending && !dram.ranks[1].refresh_pending,
+            "arming stops at the first pending rank"
+        );
         // Once rank 0 precharges and refreshes, rank 1 follows.
         let _ = dram.advance_to(blocked_until + t_refi / 2, Advance::PerCycle);
         assert!(

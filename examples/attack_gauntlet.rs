@@ -15,17 +15,22 @@ use secddr::functional::{EncryptionMode, SecureChannel};
 
 const LINE: u64 = 0x8_0000;
 
-fn verdict(detected: bool) -> &'static str {
-    if detected {
+/// Prints one attack class's outcome and notes it in `missed` when the
+/// attack went undetected.
+fn report(missed: &mut Vec<&'static str>, label: &'static str, detected: bool) {
+    let verdict = if detected {
         "DETECTED  ✓"
     } else {
+        missed.push(label);
         "UNDETECTED  ✗"
-    }
+    };
+    println!("{label:<42}{verdict}");
 }
 
 fn main() {
     println!("== SecDDR attack gauntlet ==");
     println!("(paper: Sections II-C, III-A, III-B, III-C, III-F)\n");
+    let mut missed = Vec::new();
 
     // 1. Bus replay of a stale (data, E-MAC) tuple.
     {
@@ -34,10 +39,7 @@ fn main() {
         let _ = ch.read(LINE);
         ch.write(LINE, &[2; 64]);
         let detected = ch.read(LINE).is_err();
-        println!(
-            "1. bus replay of stale (data, MAC):       {}",
-            verdict(detected)
-        );
+        report(&mut missed, "1. bus replay of stale (data, MAC):", detected);
     }
 
     // 2. Row-redirected write (Figure 3's stale-data attack).
@@ -49,9 +51,10 @@ fn main() {
         );
         let outcome = ch.write(LINE, &[3; 64]);
         let detected = outcome == WriteOutcome::EwcrcRejected && ch.rank.ewcrc_alerts == 1;
-        println!(
-            "2. activate redirected to another row:    {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "2. activate redirected to another row:",
+            detected,
         );
     }
 
@@ -63,9 +66,10 @@ fn main() {
             AddressCorruptor::redirect_column(0, 0x4),
         );
         let detected = ch.write(LINE, &[4; 64]) == WriteOutcome::EwcrcRejected;
-        println!(
-            "3. write redirected to another column:    {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "3. write redirected to another column:",
+            detected,
         );
     }
 
@@ -76,9 +80,10 @@ fn main() {
         let _ = ch.read(LINE);
         ch.write(LINE, &[6; 64]); // dropped
         let detected = ch.read(LINE).is_err() && ch.read(0x40).is_err();
-        println!(
-            "4. dropped write (all later reads fail):  {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "4. dropped write (all later reads fail):",
+            detected,
         );
     }
 
@@ -88,10 +93,7 @@ fn main() {
             SecureChannel::with_interposer(EncryptionMode::Xts, 5, CommandConverter::new(0));
         ch.write(LINE, &[7; 64]);
         let detected = ch.read(LINE).is_err();
-        println!(
-            "5. write command converted to read:       {}",
-            verdict(detected)
-        );
+        report(&mut missed, "5. write command converted to read:", detected);
     }
 
     // 6. Plain data / E-MAC bit flips on the bus.
@@ -110,9 +112,10 @@ fn main() {
             SecureChannel::with_interposer(EncryptionMode::Xts, 7, EmacTamperer { mask: 2 });
         ch2.write(LINE, &[9; 64]);
         let d2 = ch2.read(LINE).is_err();
-        println!(
-            "6. data / E-MAC bit flips on the bus:     {}",
-            verdict(d1 && d2)
+        report(
+            &mut missed,
+            "6. data / E-MAC bit flips on the bus:",
+            d1 && d2,
         );
     }
 
@@ -125,9 +128,10 @@ fn main() {
         ch.write(LINE, &[11; 64]);
         ch.rank.restore(frozen); // attacker swaps in the frozen DIMM
         let detected = ch.read(LINE).is_err();
-        println!(
-            "7. DIMM substitution / cold-boot replay:  {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "7. DIMM substitution / cold-boot replay:",
+            detected,
         );
     }
 
@@ -139,9 +143,10 @@ fn main() {
         let (mut resp, _) = rank_respond(&identity, &host.public, 4);
         resp.ephemeral_public = host_ephemeral(666).public; // Mallory
         let detected = host_verify(&host, &resp, &ca.public(), 0).is_err();
-        println!(
-            "8. MITM on attestation key exchange:      {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "8. MITM on attestation key exchange:",
+            detected,
         );
     }
 
@@ -153,11 +158,19 @@ fn main() {
         let host = host_ephemeral(3);
         let (resp, _) = rank_respond(&identity, &host.public, 4);
         let detected = host_verify(&host, &resp, &ca.public(), 0).is_err();
-        println!(
-            "9. counterfeit DIMM (bad certificate):    {}",
-            verdict(detected)
+        report(
+            &mut missed,
+            "9. counterfeit DIMM (bad certificate):",
+            detected,
         );
     }
 
+    if !missed.is_empty() {
+        eprintln!("\nUndetected attack classes:");
+        for label in &missed {
+            eprintln!("  {}", label.trim_end_matches(':'));
+        }
+        std::process::exit(1);
+    }
     println!("\nAll nine attack classes are detected, as the paper claims.");
 }

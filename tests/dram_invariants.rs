@@ -71,10 +71,19 @@ proptest! {
         prop_assert_eq!(completed.len() as u64, accepted);
     }
 
-    /// Statistics stay internally consistent.
+    /// Statistics stay internally consistent, under FR-FCFS and FCFS.
     #[test]
-    fn stats_are_consistent(reqs in proptest::collection::vec(req_strategy(), 1..100)) {
-        let mut dram = DramSystem::new(DramConfig::ddr4_3200());
+    fn stats_are_consistent(
+        reqs in proptest::collection::vec(req_strategy(), 1..100),
+        fcfs in any::<bool>(),
+    ) {
+        let mut cfg = DramConfig::ddr4_3200();
+        cfg.fcfs = fcfs;
+        // Run on past two refresh intervals, so refresh management
+        // precharges the rows the traffic left open and refreshes both
+        // ranks.
+        let settle = 2 * cfg.t_refi;
+        let mut dram = DramSystem::new(cfg);
         for (id, r) in reqs.iter().enumerate() {
             let kind = if r.is_write { ReqKind::Write } else { ReqKind::Read };
             let _ = dram.enqueue(MemRequest::new(id as u64, kind, r.addr, dram.cycle()));
@@ -84,7 +93,7 @@ proptest! {
         }
         for _ in 0..200_000 {
             dram.tick();
-            if dram.is_idle() {
+            if dram.is_idle() && dram.cycle() > settle {
                 break;
             }
         }
@@ -93,6 +102,13 @@ proptest! {
         prop_assert!(s.bus_utilization() <= 1.0);
         prop_assert!(s.row_hits <= s.reads - s.forwarded_reads + s.writes);
         prop_assert!(s.activates >= s.precharges.saturating_sub(s.refreshes * 32));
+        // A tick that issues anything issues exactly one command, so the
+        // commands counted equal the command-issuing ticks.
+        let causes = dram.telemetry().causes;
+        prop_assert_eq!(
+            s.activates + s.precharges + s.refreshes + (s.reads - s.forwarded_reads) + s.writes,
+            causes.refresh + causes.issue_hit + causes.issue_miss
+        );
     }
 
     /// The derated (2400 MT/s) channel is never faster in wall-clock time
