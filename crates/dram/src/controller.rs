@@ -867,13 +867,15 @@ impl DramSystem {
     /// Folds the refresh machinery's next possible action into `bound`:
     /// due crossings arm ranks (and gate column issue, so the crossing
     /// cycle itself must execute), and [`Self::refresh_command`] is the
-    /// pending rank's next command.
+    /// pending rank's next command. Only the ranks before the first
+    /// pending one can be armed ([`Self::issue_refresh`] stops there), so
+    /// a later rank's due time waits for that rank's REF.
     fn fold_refresh_decision(&self, now: u64, bound: &mut u64) {
         if !self.refresh_pending_any {
             fold_ready_event(now, bound, self.refresh_due_min);
             return;
         }
-        for rank in self.ranks.iter().filter(|rank| !rank.refresh_pending) {
+        for rank in self.ranks.iter().take_while(|rank| !rank.refresh_pending) {
             fold_ready_event(now, bound, rank.refresh_due);
         }
         if let Some((ready, _)) = self.refresh_command() {
@@ -2375,70 +2377,143 @@ mod tests {
         );
     }
 
+    /// One run of `bound_run`: the completion stream, the stats and
+    /// telemetry, and (per-cycle only) the starvation onsets and the
+    /// ticks that armed a rank's refresh.
+    struct BoundRun {
+        completions: Vec<(u64, Completion)>,
+        stats: DramStats,
+        telemetry: ControllerTelemetry,
+        onsets: u64,
+        armings: u64,
+    }
+
+    /// Seeded hit storms with conflicting traffic, advanced in random
+    /// 1–40-cycle windows either event-driven or by per-cycle ticks.
+    fn bound_run(cfg: DramConfig, event_driven: bool) -> BoundRun {
+        use rand::{Rng, SeedableRng};
+        let mut dram = DramSystem::new(cfg);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let mut completions = Vec::new();
+        let (mut id, mut onsets, mut armings, mut starving) = (0u64, 0u64, 0u64, false);
+        let armed_or_refreshed = |dram: &DramSystem| {
+            let ranks = dram
+                .ranks
+                .iter()
+                .filter(|rank| rank.refresh_pending)
+                .count();
+            ranks as u64 + dram.stats().refreshes
+        };
+        for window in 0..3_000u32 {
+            for _ in 0..rng.gen_range(0..12u32) {
+                let kind = if rng.gen_bool(0.35) {
+                    ReqKind::Write
+                } else {
+                    ReqKind::Read
+                };
+                // Hit storms on one row per bank, over a wide random
+                // mix that conflicts with them.
+                let addr = if rng.gen_bool(0.85) {
+                    rng.gen_range(0..128u64) << 6
+                } else {
+                    rng.gen_range(0..(1u64 << 28)) & !63
+                };
+                let _ = dram.enqueue(MemRequest::new(id, kind, addr, dram.cycle()));
+                id += 1;
+            }
+            let target = dram.cycle() + rng.gen_range(1..41u64);
+            if event_driven {
+                completions.extend(
+                    dram.advance_to(target, Advance::ToNextEvent)
+                        .into_iter()
+                        .map(|c| (c.finish_cycle, c)),
+                );
+            } else {
+                while dram.cycle() < target {
+                    let at = dram.cycle() + 1;
+                    let now_starving = dram.oldest_is_starving(at);
+                    onsets += u64::from(now_starving && !starving);
+                    starving = now_starving;
+                    // A tick arms at most one rank and refreshes at most
+                    // one, so armed-or-refreshed ranks grow exactly on an
+                    // arming tick.
+                    let before = armed_or_refreshed(&dram);
+                    completions.extend(dram.tick().into_iter().map(|c| (at, c)));
+                    armings += u64::from(armed_or_refreshed(&dram) > before);
+                }
+            }
+            if window % 100 == 0 {
+                dram.validate_incremental_state().expect("state consistent");
+            }
+        }
+        BoundRun {
+            completions,
+            stats: dram.stats(),
+            telemetry: dram.telemetry(),
+            onsets,
+            armings,
+        }
+    }
+
     /// Without refresh, the decision bound is exact: the event-driven
     /// `advance_to` in short random windows executes no no-op tick, and a starving
     /// request costs at most its onset tick — while the completion
     /// stream stays that of per-cycle ticks.
     #[test]
     fn decision_bound_is_exact_without_refresh() {
-        use rand::{Rng, SeedableRng};
-        let run = |event_driven: bool| {
-            let mut cfg = DramConfig::ddr4_3200();
-            cfg.t_refi = u64::MAX / 4;
-            let mut dram = DramSystem::new(cfg);
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-            let mut completions = Vec::new();
-            let (mut id, mut onsets, mut starving) = (0u64, 0u64, false);
-            for window in 0..3_000u32 {
-                for _ in 0..rng.gen_range(0..12u32) {
-                    let kind = if rng.gen_bool(0.35) {
-                        ReqKind::Write
-                    } else {
-                        ReqKind::Read
-                    };
-                    // Hit storms on one row per bank, over a wide random
-                    // mix that conflicts with them.
-                    let addr = if rng.gen_bool(0.85) {
-                        rng.gen_range(0..128u64) << 6
-                    } else {
-                        rng.gen_range(0..(1u64 << 28)) & !63
-                    };
-                    let _ = dram.enqueue(MemRequest::new(id, kind, addr, dram.cycle()));
-                    id += 1;
-                }
-                let target = dram.cycle() + rng.gen_range(1..41u64);
-                if event_driven {
-                    completions.extend(
-                        dram.advance_to(target, Advance::ToNextEvent)
-                            .into_iter()
-                            .map(|c| (c.finish_cycle, c)),
-                    );
-                } else {
-                    while dram.cycle() < target {
-                        let at = dram.cycle() + 1;
-                        let now_starving = dram.oldest_is_starving(at);
-                        onsets += u64::from(now_starving && !starving);
-                        starving = now_starving;
-                        completions.extend(dram.tick().into_iter().map(|c| (at, c)));
-                    }
-                }
-                if window % 100 == 0 {
-                    dram.validate_incremental_state().expect("state consistent");
-                }
-            }
-            (completions, dram.stats(), dram.telemetry(), onsets)
-        };
-        let (fast_c, fast_s, fast_t, _) = run(true);
-        let (ref_c, ref_s, _, onsets) = run(false);
-        assert_eq!(fast_c, ref_c, "completion stream diverged");
-        assert_eq!(fast_s, ref_s, "stats diverged");
-        assert_eq!(fast_s.refreshes, 0, "refresh stays out of reach");
+        let mut cfg = DramConfig::ddr4_3200();
+        cfg.t_refi = u64::MAX / 4;
+        let fast = bound_run(cfg.clone(), true);
+        let reference = bound_run(cfg, false);
+        assert_eq!(
+            fast.completions, reference.completions,
+            "completion stream diverged"
+        );
+        assert_eq!(fast.stats, reference.stats, "stats diverged");
+        assert_eq!(fast.stats.refreshes, 0, "refresh stays out of reach");
+        let (causes, onsets) = (fast.telemetry.causes, reference.onsets);
         assert!(onsets > 0, "the traffic must starve some request");
-        assert_eq!(fast_t.causes.noop, 0, "{:?}", fast_t.causes);
+        assert_eq!(causes.noop, 0, "{causes:?}");
         assert!(
-            fast_t.causes.aging <= onsets,
+            causes.aging <= onsets,
             "aging {} over {onsets} starvation onsets",
-            fast_t.causes.aging
+            causes.aging
+        );
+    }
+
+    /// With refresh on, the bound's one further exception is the tick at
+    /// which a rank comes due and is armed: the event-driven run executes
+    /// no more no-op ticks than the per-cycle run has arming ticks. A due
+    /// rank behind a parked pending one is not armed, so it must not wake
+    /// the controller either (`refresh_is_serialized_across_ranks` builds
+    /// that parking; here the traffic does).
+    #[test]
+    fn decision_bound_noops_are_refresh_arming_ticks() {
+        let cfg = DramConfig::ddr4_3200();
+        let fast = bound_run(cfg.clone(), true);
+        let reference = bound_run(cfg, false);
+        assert_eq!(
+            fast.completions, reference.completions,
+            "completion stream diverged"
+        );
+        assert_eq!(fast.stats, reference.stats, "stats diverged");
+        assert!(
+            fast.stats.refreshes >= 4,
+            "refreshes {}",
+            fast.stats.refreshes
+        );
+        let causes = fast.telemetry.causes;
+        assert!(
+            causes.noop <= reference.armings,
+            "noop {} over {} refresh-arming ticks: {causes:?}",
+            causes.noop,
+            reference.armings
+        );
+        assert!(
+            causes.aging <= reference.onsets,
+            "aging {} over {} starvation onsets",
+            causes.aging,
+            reference.onsets
         );
     }
 

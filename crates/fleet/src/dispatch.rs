@@ -3,14 +3,25 @@
 //! memoization.
 //!
 //! The dispatcher decomposes each accepted [`JobSpec`] into its
-//! benchmark×config cells ([`JobSpec::cell_specs`]), logs the spec to
-//! the write-ahead [`JobLog`] *before* dispatching anything, then
-//! places cells on the least-loaded alive worker (per-worker
-//! outstanding-cell accounting, capped by
-//! [`DispatcherConfig::max_outstanding`]). Finished cell payloads are
-//! stored in the [`ResultStore`] keyed by the cell spec's canonical
-//! content hash, so identical resubmissions — and identical cells
-//! inside *different* sweeps — are served without touching a worker.
+//! benchmark×config cells ([`JobSpec::cell_specs`]) and looks each one
+//! up in the [`ResultStore`], where finished cell payloads are kept
+//! under the cell spec's canonical content hash, so identical
+//! resubmissions — and identical cells inside *different* sweeps — are
+//! served without touching a worker. A job with a cell left to run has
+//! its spec logged to the write-ahead [`JobLog`] *before* anything is
+//! dispatched; its cells then go to the least-loaded alive worker
+//! (per-worker outstanding-cell accounting, capped by
+//! [`DispatcherConfig::max_outstanding`]). A job the store serves whole
+//! finishes inside its submit and writes no log record: it leaves
+//! nothing a restart would need to replay. A logged job's terminal
+//! record is written before its terminal event, so a client that has
+//! seen the job end never causes a replay. `fleet.log.appends` counts
+//! the records: 0 for a store-served job, 2 for any other that ends.
+//!
+//! The submitter's reply comes after the store-served cells are
+//! emitted, so the events a job has at submit time — all of them, for a
+//! store-served job — are queued on its handle before the reply
+//! ([`FleetJobHandle::take_ready`] collects them).
 //!
 //! Requeue-on-death is sound because the simulator is deterministic: a
 //! cell re-run on another worker is proven to produce the bit-identical
@@ -112,6 +123,21 @@ impl FleetJobHandle {
         self.events.recv().ok()
     }
 
+    /// The events already delivered, without blocking, and the handle
+    /// back for the rest of the stream — or `None` once the stream has
+    /// closed, with the terminal event the last of them.
+    #[must_use]
+    pub fn take_ready(self) -> (Vec<Json>, Option<Self>) {
+        let mut ready = Vec::new();
+        loop {
+            match self.events.try_recv() {
+                Ok(event) => ready.push(event),
+                Err(mpsc::TryRecvError::Empty) => return (ready, Some(self)),
+                Err(mpsc::TryRecvError::Disconnected) => return (ready, None),
+            }
+        }
+    }
+
     /// Collects every remaining event through the terminal one.
     #[must_use]
     pub fn wait(self) -> Vec<Json> {
@@ -167,6 +193,9 @@ struct Cell {
 
 struct Job {
     hash: u64,
+    /// The job log holds this job's `submitted` record, so its end must
+    /// be logged too.
+    logged: bool,
     total: usize,
     cells: Vec<Cell>,
     events: Option<mpsc::Sender<Json>>,
@@ -213,6 +242,7 @@ struct Metrics {
     cells_requeued: Counter,
     worker_deaths: Counter,
     workers_alive: Gauge,
+    log_appends: Counter,
 }
 
 impl Metrics {
@@ -228,6 +258,7 @@ impl Metrics {
             cells_requeued: r.counter("fleet.cells.requeued"),
             worker_deaths: r.counter("fleet.worker.deaths"),
             workers_alive: r.gauge("fleet.workers.alive"),
+            log_appends: r.counter("fleet.log.appends"),
         }
     }
 }
@@ -269,9 +300,10 @@ impl Core {
         (*stream).write_all(line.as_bytes())
     }
 
-    /// Emits a live job's terminal `event` and retires the job (dropping
-    /// it closes the stream). The event decides the job-log outcome, the
-    /// `fleet.jobs.*` counter, and whether in-flight cells are cancelled.
+    /// Logs a logged job's end, then emits its terminal `event` and
+    /// retires the job (dropping it closes the stream). The event decides
+    /// the job-log outcome, the `fleet.jobs.*` counter, and whether
+    /// in-flight cells are cancelled.
     fn terminate(&mut self, event: JobEvent) {
         let job_id = event.job().0;
         let Some(mut job) = self.jobs.remove(&job_id) else {
@@ -282,13 +314,16 @@ impl Core {
             JobEvent::Cancelled { .. } => (Terminal::Cancelled, &self.metrics.jobs_cancelled),
             _ => (Terminal::Failed, &self.metrics.jobs_failed),
         };
-        job.emit(event_to_json(&event));
-        if let Some(log) = &mut self.log {
-            // A failed terminal write costs a redundant (deterministic,
-            // store-served) replay on restart — not worth failing the
-            // job over.
-            let _ = log.append_terminal(job.hash, outcome);
+        if let (true, Some(log)) = (job.logged, &mut self.log) {
+            // Before the event, so a client that saw the job end never
+            // causes a replay. A failed terminal write costs a redundant
+            // (deterministic, store-served) replay on restart — not
+            // worth failing the job over.
+            if log.append_terminal(job.hash, outcome).is_ok() {
+                self.metrics.log_appends.inc();
+            }
         }
+        job.emit(event_to_json(&event));
         counter.inc();
         if outcome != Terminal::Finished {
             self.cancel_inflight(job_id);
@@ -316,27 +351,7 @@ impl Core {
                 return;
             }
         };
-        let hash = spec.content_hash();
-        if from_log {
-            self.metrics.jobs_replayed.inc();
-        } else {
-            if let Some(log) = &mut self.log {
-                if let Err(e) = log.append_submitted(hash, &spec) {
-                    if let Some(reply) = reply {
-                        let _ = reply.send(Err(format!("job log write failed: {e}")));
-                    }
-                    return;
-                }
-            }
-            self.metrics.jobs_submitted.inc();
-        }
-        let id = self.next_job;
-        self.next_job += 1;
         let total = cell_list.len();
-        if let Some(reply) = reply {
-            let _ = reply.send(Ok((id, total)));
-        }
-
         let mut cells = Vec::with_capacity(total);
         let mut pending_cells = Vec::new();
         for (index, cell_spec) in cell_list.into_iter().enumerate() {
@@ -354,8 +369,29 @@ impl Core {
                 state,
             });
         }
+        let hash = spec.content_hash();
+        // A job the store serves whole ends inside this call and leaves
+        // nothing to replay, so it is not logged; a replay already is.
+        let logged = from_log || !pending_cells.is_empty();
+        if from_log {
+            self.metrics.jobs_replayed.inc();
+        } else {
+            if let (true, Some(log)) = (logged, &mut self.log) {
+                if let Err(e) = log.append_submitted(hash, &spec) {
+                    if let Some(reply) = reply {
+                        let _ = reply.send(Err(format!("job log write failed: {e}")));
+                    }
+                    return;
+                }
+                self.metrics.log_appends.inc();
+            }
+            self.metrics.jobs_submitted.inc();
+        }
+        let id = self.next_job;
+        self.next_job += 1;
         let mut job = Job {
             hash,
+            logged,
             total,
             cells,
             events,
@@ -370,7 +406,12 @@ impl Core {
         for index in pending_cells {
             self.pending.push_back((id, index));
         }
-        self.try_emit(id); // fully-cached jobs finish synchronously
+        // A fully stored job finishes here, so the reply finds every
+        // event it will ever have already queued on its handle.
+        self.try_emit(id);
+        if let Some(reply) = reply {
+            let _ = reply.send(Ok((id, total)));
+        }
         self.pump();
     }
 
@@ -819,7 +860,10 @@ impl Dispatcher {
         self.replayed
     }
 
-    /// Submits a spec; returns a handle streaming its events.
+    /// Submits a spec; returns a handle streaming its events. The
+    /// events the job had when it was accepted are already on the handle
+    /// ([`FleetJobHandle::take_ready`]): every one of them, through the
+    /// terminal event, when the result store served all its cells.
     ///
     /// # Errors
     ///

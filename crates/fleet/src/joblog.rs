@@ -1,14 +1,18 @@
 //! Write-ahead job log: durable record of accepted specs and their
 //! terminal outcomes.
 //!
-//! Every accepted [`JobSpec`] is appended (as its canonical JSON, the
-//! lossless codec from `secddr_service::json`) *before* any cell is
-//! dispatched; when the job reaches a terminal state a matching
-//! terminal record is appended. A dispatcher restarted against the same
-//! log dir therefore sees exactly the set of jobs that were accepted
-//! but never finished, and — because the simulator is deterministic —
-//! replaying them can never produce a different answer than the run the
-//! crash interrupted.
+//! An accepted [`JobSpec`] is appended (as its canonical JSON, the
+//! lossless codec from `secddr_service::json`) when its job has a cell
+//! to dispatch, *before* any cell is dispatched. A job whose every cell
+//! the result store already holds finishes inside its submit, so it
+//! writes no record at all: there is nothing a restart could replay.
+//! When a logged job reaches a terminal state, a matching terminal
+//! record is appended *before* the terminal event goes out, so a client
+//! that has seen a job end never causes its replay. A dispatcher
+//! restarted against the same log dir therefore sees exactly the set of
+//! logged jobs that never finished, and — because the simulator is
+//! deterministic — replaying them can never produce a different answer
+//! than the run the crash interrupted.
 //!
 //! On-disk format (all integers little-endian):
 //!

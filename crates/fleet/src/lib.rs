@@ -10,9 +10,10 @@
 //! anywhere, and a replayed log can never produce a different answer
 //! than the run it replaces. Three composable layers:
 //!
-//! * [`joblog`] — [`JobLog`]: write-ahead log of accepted specs and
-//!   terminal outcomes; on restart the incomplete set (deduped by
-//!   [`JobSpec::content_hash`], priority excluded) is replayed.
+//! * [`joblog`] — [`JobLog`]: write-ahead log of accepted specs with a
+//!   cell to run and their terminal outcomes; on restart the incomplete
+//!   set (deduped by [`JobSpec::content_hash`], priority excluded) is
+//!   replayed.
 //! * [`store`] — [`ResultStore`]: versioned on-disk memoization of
 //!   finished cell payloads keyed by the canonical hash of the cell
 //!   spec (seed included); checked before dispatch, populated on

@@ -10,7 +10,7 @@
 //!
 //! [`ServiceClient`]: secddr_service::ServiceClient
 
-use secddr_service::net::{error_json, job_arg, EventStream, LineHandler, LineServer};
+use secddr_service::net::{error_json, job_arg, Accepted, EventStream, LineHandler, LineServer};
 use secddr_service::{JobSpec, Json};
 
 use crate::dispatch::Dispatcher;
@@ -19,13 +19,20 @@ use crate::dispatch::Dispatcher;
 pub type FleetServer = LineServer<Dispatcher>;
 
 impl LineHandler for Dispatcher {
-    fn submit(&self, spec: JobSpec) -> Result<(u64, usize, EventStream), String> {
+    fn submit(&self, spec: JobSpec) -> Result<Accepted, String> {
         let handle = Dispatcher::submit(self, &spec)?;
         let (job, cells) = (handle.id, handle.cells);
+        let (ready, rest) = handle.take_ready();
         // Dropping the stream early keeps the job: its cells still fill
         // the result store.
-        let events = std::iter::from_fn(move || handle.next_event());
-        Ok((job, cells, Box::new(events)))
+        let live = rest
+            .map(|handle| Box::new(std::iter::from_fn(move || handle.next_event())) as EventStream);
+        Ok(Accepted {
+            job,
+            cells,
+            ready,
+            live,
+        })
     }
 
     fn cancel(&self, job: u64) -> bool {

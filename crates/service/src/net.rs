@@ -23,10 +23,13 @@
 //! After a successful submit the job's events stream to the same
 //! connection as `{"type":"queued"|"started"|"cell"|"metrics_frame"|
 //! "finished"|"cancelled"|"failed","job":N,…}` lines (the service sends
-//! one live `metrics_frame` per completed cell). The `submitted` ack is
-//! written before any event line of its job. Events of one job are
-//! written by one forwarder thread in stream order, so **per-job** event
-//! order is preserved; events of different jobs (and command responses)
+//! one live `metrics_frame` per completed cell). The `submitted` ack and
+//! every event of its job that is already available leave in one write,
+//! ack first; a job answered in full at submit time (a fleet job the
+//! result store serves whole) is on the wire, terminal event included,
+//! in that one write. The rest of a job's events are written by one
+//! forwarder thread in stream order, so **per-job** event order is
+//! preserved; events of different jobs (and command responses)
 //! interleave arbitrarily between them — every line carries its job id.
 //! Malformed input produces `{"type":"error","message":…}` and keeps
 //! the connection open. A request line longer than [`MAX_REQUEST_LINE`]
@@ -298,12 +301,26 @@ pub fn job_arg(request: &Json, cmd: &str) -> Result<u64, Json> {
         .ok_or_else(|| error_json(format!("{cmd} needs a \"job\" id")))
 }
 
+/// Writes JSON lines in one `write_all` under the connection's write
+/// lock, so no other line lands between them.
+fn write_lines<'a>(
+    writer: &Mutex<TcpStream>,
+    lines: impl IntoIterator<Item = &'a Json>,
+) -> std::io::Result<()> {
+    let mut text = String::new();
+    for json in lines {
+        text.push_str(&json.to_string());
+        text.push('\n');
+    }
+    writer
+        .lock()
+        .expect("writer lock")
+        .write_all(text.as_bytes())
+}
+
 /// Writes one JSON line under the connection's write lock.
 fn write_line(writer: &Mutex<TcpStream>, json: &Json) -> std::io::Result<()> {
-    let mut stream = writer.lock().expect("writer lock");
-    let mut line = json.to_string();
-    line.push('\n');
-    stream.write_all(line.as_bytes())
+    write_lines(writer, [json])
 }
 
 /// The longest request line a server reads, in bytes without the
@@ -339,13 +356,28 @@ pub fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::
 /// event. Dropping it before the end means the client went away.
 pub type EventStream = Box<dyn Iterator<Item = Json> + Send>;
 
+/// A job a [`LineHandler`] accepted: what its `submitted` ack carries
+/// and its events, split into those already available and the rest.
+pub struct Accepted {
+    /// Job id.
+    pub job: u64,
+    /// Cell count.
+    pub cells: usize,
+    /// The events available at submit time, in stream order; they leave
+    /// in the ack's write.
+    pub ready: Vec<Json>,
+    /// The rest of the stream, or `None` once `ready` holds the terminal
+    /// event. Only a live remainder gets a forwarder thread.
+    pub live: Option<EventStream>,
+}
+
 /// A job-running backend behind a [`LineServer`]. The server owns the
 /// socket, the line framing and the shared commands; the handler owns
 /// the jobs.
 pub trait LineHandler: Send + Sync + 'static {
-    /// Accepts a job and returns its id, its cell count and its events,
-    /// or else the rejection message the client gets as an `error` line.
-    fn submit(&self, spec: JobSpec) -> Result<(u64, usize, EventStream), String>;
+    /// Accepts a job and returns it, or else the rejection message the
+    /// client gets as an `error` line.
+    fn submit(&self, spec: JobSpec) -> Result<Accepted, String>;
 
     /// Cancels a job; `true` if it was live.
     fn cancel(&self, job: u64) -> bool;
@@ -378,10 +410,16 @@ impl Drop for ServiceEvents {
 }
 
 impl LineHandler for ExperimentService {
-    fn submit(&self, spec: JobSpec) -> Result<(u64, usize, EventStream), String> {
+    fn submit(&self, spec: JobSpec) -> Result<Accepted, String> {
         let cells = spec.cell_count().unwrap_or(0);
         let handle = ExperimentService::submit(self, spec).map_err(|e| e.to_string())?;
-        Ok((handle.id().0, cells, Box::new(ServiceEvents(handle))))
+        // Every cell runs on the pool, so the whole stream is live.
+        Ok(Accepted {
+            job: handle.id().0,
+            cells,
+            ready: Vec::new(),
+            live: Some(Box::new(ServiceEvents(handle))),
+        })
     }
 
     fn cancel(&self, job: u64) -> bool {
@@ -578,8 +616,9 @@ fn handle_connection<H: LineHandler>(stream: TcpStream, handler: &H, shutdown: &
     }
 }
 
-/// Runs a `submit` request: the ack (or the error) goes out first, then
-/// one forwarder thread streams the job's events.
+/// Runs a `submit` request: the ack (or the error) goes out first, in
+/// one write with the events already available, then one forwarder
+/// thread streams the rest, if any.
 fn submit<H: LineHandler>(
     handler: &H,
     request: &Json,
@@ -590,19 +629,22 @@ fn submit<H: LineHandler>(
         .ok_or_else(|| "submit needs a \"spec\" member".to_string())
         .and_then(|spec| JobSpec::from_json(spec).map_err(|e| e.to_string()))
         .and_then(|spec| handler.submit(spec));
-    let (job, cells, events) = match submitted {
-        Ok(submitted) => submitted,
+    let accepted = match submitted {
+        Ok(accepted) => accepted,
         Err(message) => return write_line(writer, &error_json(message)),
     };
     let ack = Json::Obj(vec![
         ("type".into(), Json::str("submitted")),
-        ("job".into(), Json::u64(job)),
-        ("cells".into(), Json::u64(cells as u64)),
+        ("job".into(), Json::u64(accepted.job)),
+        ("cells".into(), Json::u64(accepted.cells as u64)),
     ]);
-    // The ack is on the wire before the forwarder exists, so no event of
-    // the job can overtake it: the dispatcher drops a worker's events
-    // for jobs it has no ack for.
-    write_line(writer, &ack)?;
+    // The ack leads its write and is on the wire before the forwarder
+    // exists, so no event of the job can overtake it: the dispatcher
+    // drops a worker's events for jobs it has no ack for.
+    write_lines(writer, std::iter::once(&ack).chain(&accepted.ready))?;
+    let Some(events) = accepted.live else {
+        return Ok(());
+    };
     let writer = Arc::clone(writer);
     // One forwarder per job keeps per-job event order on the wire; the
     // shared writer lock serializes whole lines.
@@ -1203,13 +1245,16 @@ mod tests {
     }
 
     /// A backend whose jobs are over before `submit` returns: each
-    /// job's whole event stream is ready the moment it is accepted.
+    /// job's whole event stream exists the moment it is accepted. Odd
+    /// jobs hand all of it over as ready events; even jobs hand over
+    /// `queued` and leave the rest to a forwarder, so both write paths
+    /// race the next ack.
     struct InstantJobs {
         next: AtomicU64,
     }
 
     impl LineHandler for InstantJobs {
-        fn submit(&self, _spec: JobSpec) -> Result<(u64, usize, EventStream), String> {
+        fn submit(&self, _spec: JobSpec) -> Result<Accepted, String> {
             let job = self.next.fetch_add(1, Ordering::Relaxed);
             let event = |kind: &str| {
                 Json::Obj(vec![
@@ -1217,8 +1262,16 @@ mod tests {
                     ("job".into(), Json::u64(job)),
                 ])
             };
-            let events = vec![event("queued"), event("started"), event("finished")];
-            Ok((job, 1, Box::new(events.into_iter())))
+            let mut ready = vec![event("queued"), event("started"), event("finished")];
+            let live = job
+                .is_multiple_of(2)
+                .then(|| Box::new(ready.split_off(1).into_iter()) as EventStream);
+            Ok(Accepted {
+                job,
+                cells: 1,
+                ready,
+                live,
+            })
         }
 
         fn cancel(&self, _job: u64) -> bool {

@@ -3,7 +3,9 @@
 //! cores over two channels), identical resubmissions
 //! are served entirely from the result store (zero cells executed),
 //! back-to-back jobs with millisecond cells all finish and leave the
-//! dispatcher's job table empty, killing one
+//! dispatcher's job table empty, a store-served job answers over the
+//! wire ack first with the first run's stream and writes no job-log
+//! record while a partly stored one still logs its two, killing one
 //! of N workers requeues its work and completes the job with correct
 //! results, a worker that answers with an endless unterminated line is
 //! treated as dead instead of growing the dispatcher's memory, and small
@@ -18,7 +20,7 @@ use secddr::service::{
 };
 use secddr::Registry;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -174,6 +176,122 @@ fn identical_resubmission_executes_zero_cells_with_identical_results() {
             .wait(),
     );
     assert_eq!(third, first);
+}
+
+/// Sends one `submit` over a raw connection and returns every line the
+/// server writes for it, ack included, through the job's terminal event.
+fn raw_submit(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    spec: &JobSpec,
+) -> Vec<Json> {
+    let submit = Json::Obj(vec![
+        ("cmd".into(), Json::str("submit")),
+        ("spec".into(), spec.to_json()),
+    ]);
+    stream
+        .write_all(format!("{submit}\n").as_bytes())
+        .expect("send submit");
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read") > 0, "early EOF");
+        let json = Json::parse(line.trim()).expect("server sends JSON");
+        let kind = json.get("type").and_then(Json::as_str).unwrap_or("");
+        let done = matches!(kind, "finished" | "cancelled" | "failed" | "error");
+        lines.push(json);
+        if done {
+            return lines;
+        }
+    }
+}
+
+#[test]
+fn store_served_resubmission_streams_ack_first_and_writes_no_log_record() {
+    let _guard = serialize();
+    let worker = WorkerGuard::start(2);
+    let log_dir =
+        std::env::temp_dir().join(format!("secddr-fleet-dispatch-log-{}", std::process::id()));
+    std::fs::remove_dir_all(&log_dir).ok(); // no replay of an earlier run's jobs
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![worker.addr.to_string()],
+        log_dir: Some(log_dir.clone()),
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let fleet = FleetServer::bind("127.0.0.1:0", dispatcher).expect("bind dispatcher");
+    let fleet_addr = fleet.local_addr().expect("bound address");
+    let fleet_serve = std::thread::spawn(move || fleet.serve());
+    let mut stream = TcpStream::connect(fleet_addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    // Counters come through the `metrics` command on a second connection.
+    let mut metrics = ServiceClient::connect(fleet_addr).expect("connect metrics");
+    // Submits `spec` and returns its stripped lines with the job-log
+    // appends and dispatched cells it cost.
+    let mut run = |spec: &JobSpec| {
+        let before = metrics.metrics().expect("metrics");
+        let lines = raw_submit(&mut stream, &mut reader, spec);
+        let after = metrics.metrics().expect("metrics");
+        let kinds: Vec<&str> = lines
+            .iter()
+            .map(|json| json.get("type").and_then(Json::as_str).unwrap_or(""))
+            .collect();
+        assert_eq!(
+            kinds.first(),
+            Some(&"submitted"),
+            "the ack leads: {kinds:?}"
+        );
+        assert_eq!(kinds.last(), Some(&"finished"), "{kinds:?}");
+        let stripped: Vec<String> = lines
+            .into_iter()
+            .map(|json| strip_job(json).to_string())
+            .collect();
+        let delta = |name| counter_delta(&after, &before, name);
+        (
+            stripped,
+            delta("fleet.log.appends"),
+            delta("fleet.cells.dispatched"),
+        )
+    };
+
+    let spec = two_config_spec();
+    let (first, appends, dispatched) = run(&spec);
+    assert_eq!(
+        (appends, dispatched),
+        (2, 2),
+        "a miss logs its spec and its end"
+    );
+    let (second, appends, dispatched) = run(&spec);
+    assert_eq!(second, first, "the store-served stream is the first run's");
+    assert_eq!(
+        (appends, dispatched),
+        (0, 0),
+        "a store-served job touches no log or worker"
+    );
+    // One cell stored (secddr_ctr), one new: still a logged job.
+    let mut mixed = spec.clone();
+    mixed.configs = vec![
+        SecurityConfig::secddr_ctr(),
+        SecurityConfig::encrypt_only_ctr(),
+    ];
+    let (_, appends, dispatched) = run(&mixed);
+    assert_eq!(
+        (appends, dispatched),
+        (2, 1),
+        "a partly stored job still logs"
+    );
+
+    drop(metrics);
+    let mut client = ServiceClient::connect(fleet_addr).expect("connect");
+    client.shutdown_server().expect("dispatcher shutdown");
+    fleet_serve
+        .join()
+        .expect("dispatcher thread")
+        .expect("clean dispatcher exit");
+    std::fs::remove_dir_all(&log_dir).ok();
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Crash-recovery coverage: jobs written through the write-ahead log
 //! survive a dispatcher death mid-queue, replay to completion with
-//! results bit-identical to an uninterrupted run, and duplicate
-//! `(spec, seed)` submissions execute zero new cells.
+//! results bit-identical to an uninterrupted run, duplicate
+//! `(spec, seed)` submissions execute zero new cells, and a job whose
+//! `finished` a client has read is already terminal in the log.
 
 use secddr::core::config::SecurityConfig;
+use secddr::fleet::joblog::{read_log, LogRecord};
 use secddr::fleet::{Dispatcher, DispatcherConfig};
 use secddr::service::net::event_to_json;
 use secddr::service::{ExperimentServer, ExperimentService, JobSpec, Json, ShutdownHandle};
@@ -229,4 +231,49 @@ fn log_survives_results_served_across_dispatcher_generations() {
 
     std::fs::remove_dir_all(&log_dir).ok();
     std::fs::remove_dir_all(&store_dir).ok();
+}
+
+#[test]
+fn a_finished_job_seen_by_its_client_never_replays() {
+    let _guard = serialize();
+    let log_dir = temp_dir("seenlog");
+    let worker = WorkerGuard::start(2);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        workers: vec![worker.addr.to_string()],
+        log_dir: Some(log_dir.clone()),
+        ..DispatcherConfig::default()
+    })
+    .expect("start dispatcher");
+    let mut spec = JobSpec::bench("mcf");
+    spec.instructions = 2_000;
+    spec.seed = 0x5EE1; // a fresh seed misses the result store
+    let handle = dispatcher.submit(&spec).expect("submit");
+    loop {
+        let event = handle.next_event().expect("the job ends with finished");
+        if event.get("type").and_then(Json::as_str) == Some("finished") {
+            break;
+        }
+    }
+    // The terminal record precedes the terminal event, so it is in the
+    // file the moment the client has seen `finished`.
+    let records = read_log(&log_dir).expect("read log");
+    assert!(
+        matches!(records.last(), Some(LogRecord::Terminal { hash, .. }) if *hash == spec.content_hash()),
+        "{records:?}"
+    );
+    // Dropped without a drain, as a crash right after `finished` would.
+    drop(handle);
+    drop(dispatcher);
+    let dispatcher = Dispatcher::start(DispatcherConfig {
+        log_dir: Some(log_dir.clone()),
+        ..DispatcherConfig::default()
+    })
+    .expect("reopen dispatcher");
+    assert_eq!(
+        dispatcher.replayed(),
+        0,
+        "a job the client saw finish does not replay"
+    );
+    drop(dispatcher);
+    std::fs::remove_dir_all(&log_dir).ok();
 }

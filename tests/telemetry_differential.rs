@@ -119,7 +119,13 @@ fn traced_multicore_run_is_bit_identical_and_exports() {
     // The attribution gathered along the way reconciles exactly.
     let dram_t = traced.backend_mut().dram_telemetry();
     assert_eq!(dram_t.causes.total(), dram_t.decision_cycles);
-    assert!(dram_t.causes.completion > 0, "work completed");
+    // `causes.completion` counts only ticks that a landing completion
+    // alone woke, which the exact decision bound leaves at 0 here, so
+    // work shows in the issued commands instead.
+    assert!(
+        dram_t.causes.issue_hit + dram_t.causes.issue_miss > 0,
+        "work completed"
+    );
     let wake = traced.wake_reasons();
     assert!(wake.total() > 0, "event-driven cores woke");
     let snap = traced.telemetry_snapshot();
