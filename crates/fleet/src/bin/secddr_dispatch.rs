@@ -15,26 +15,35 @@
 //! store; `--outstanding` caps cells in flight per worker (default 4).
 //!
 //! The first stdout line is `secddr-dispatch listening on ADDR` so
-//! wrappers (CI, examples) can discover the bound address.
+//! wrappers (CI, examples) can discover the bound address. An unknown
+//! flag, a flag without its value or an unparsable value prints the
+//! usage line to stderr and exits 2 (see `secddr_service::cli`).
 
 use std::io::Write;
+use std::path::PathBuf;
 
 use secddr_fleet::{Dispatcher, DispatcherConfig, FleetServer};
+use secddr_service::cli::Cli;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: secddr-dispatch [--port N] [--workers a:p,b:p,...] \
+                     [--log-dir DIR] [--store-dir DIR] [--outstanding N]";
 
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let port: u16 = arg_value(&args, "--port")
-        .or_else(|| std::env::var("SECDDR_DISPATCH_PORT").ok())
-        .and_then(|v| v.parse().ok())
+    let cli = Cli::from_env(
+        USAGE,
+        &[
+            "--port",
+            "--workers",
+            "--log-dir",
+            "--store-dir",
+            "--outstanding",
+        ],
+    );
+    let port: u16 = cli
+        .value("--port", Some("SECDDR_DISPATCH_PORT"))
         .unwrap_or(7450);
-    let workers: Vec<String> = arg_value(&args, "--workers")
-        .or_else(|| std::env::var("SECDDR_WORKERS").ok())
+    let workers: Vec<String> = cli
+        .value::<String>("--workers", Some("SECDDR_WORKERS"))
         .map(|list| {
             list.split(',')
                 .map(str::trim)
@@ -43,15 +52,9 @@ fn main() -> std::io::Result<()> {
                 .collect()
         })
         .unwrap_or_default();
-    let log_dir = arg_value(&args, "--log-dir")
-        .or_else(|| std::env::var("SECDDR_FLEET_LOG").ok())
-        .map(Into::into);
-    let store_dir = arg_value(&args, "--store-dir")
-        .or_else(|| std::env::var("SECDDR_FLEET_STORE").ok())
-        .map(Into::into);
-    let max_outstanding = arg_value(&args, "--outstanding")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let log_dir: Option<PathBuf> = cli.value("--log-dir", Some("SECDDR_FLEET_LOG"));
+    let store_dir: Option<PathBuf> = cli.value("--store-dir", Some("SECDDR_FLEET_STORE"));
+    let max_outstanding = cli.value("--outstanding", None).unwrap_or(4);
 
     let worker_count = workers.len();
     let dispatcher = Dispatcher::start(DispatcherConfig {

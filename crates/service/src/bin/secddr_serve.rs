@@ -11,25 +11,22 @@
 //! / `SECDDR_THREADS`, else host parallelism capped at 16.
 //!
 //! The first stdout line is `secddr-serve listening on ADDR` so
-//! wrappers (CI, examples) can discover the bound address.
+//! wrappers (CI, examples) can discover the bound address. An unknown
+//! flag, a flag without its value or an unparsable value prints the
+//! usage line to stderr and exits 2 (see `secddr_service::cli`).
 
+use secddr_service::cli::Cli;
 use secddr_service::{ExperimentServer, ExperimentService};
 use std::io::Write;
+use std::num::NonZeroUsize;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: secddr-serve [--port N] [--threads N]";
 
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let port: u16 = arg_value(&args, "--port")
-        .or_else(|| std::env::var("SECDDR_PORT").ok())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7441);
-    let service = match arg_value(&args, "--threads").and_then(|v| v.parse().ok()) {
-        Some(threads) => ExperimentService::with_threads(threads),
+    let cli = Cli::from_env(USAGE, &["--port", "--threads"]);
+    let port: u16 = cli.value("--port", Some("SECDDR_PORT")).unwrap_or(7441);
+    let service = match cli.value::<NonZeroUsize>("--threads", None) {
+        Some(threads) => ExperimentService::with_threads(threads.get()),
         None => ExperimentService::new(),
     };
     let threads = service.threads();

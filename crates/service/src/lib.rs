@@ -25,6 +25,8 @@
 //!   the binary. The server is [`LineServer`] over the
 //!   [`LineHandler`] trait, so the fleet dispatcher reuses it whole.
 //! * [`json`] — the minimal hand-rolled JSON the wire rides on.
+//! * [`cli`] — the strict `--flag value` command line `secddr-serve` and
+//!   `secddr-dispatch` share.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod json;
 pub mod net;
 pub mod pool;

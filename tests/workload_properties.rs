@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use secddr::cpu::TraceOp;
-use secddr::workloads::{Benchmark, Suite};
+use secddr::workloads::{Benchmark, CsrGraph, Suite};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -82,4 +82,26 @@ fn gapbs_kernels_have_distinct_traces() {
             );
         }
     }
+}
+
+/// FNV-1a over 32-bit words.
+fn fnv1a_words(words: impl IntoIterator<Item = u32>, mut hash: u64) -> u64 {
+    for w in words {
+        hash ^= u64::from(w);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// The production GAPBS input graph (the one every GAPBS trace walks) is
+/// pinned by a digest of its CSR arrays, so a change to how it is built
+/// cannot silently move any GAPBS result. Taken through the memo, so this
+/// reuses the graph the other tests build.
+#[test]
+fn production_graph_is_bit_identical() {
+    let g = CsrGraph::shared(1 << 21, 8, 0xBEEF);
+    let hash = fnv1a_words(g.offsets.iter().copied(), 0xcbf2_9ce4_8422_2325);
+    let hash = fnv1a_words(g.neighbors.iter().copied(), hash);
+    assert_eq!(g.edges(), 8 << 21);
+    assert_eq!(hash, 0xe0b3_2b63_cab8_2863, "graph digest {hash:#018x}");
 }
