@@ -26,7 +26,6 @@
 use workloads::Benchmark;
 
 pub mod ablations;
-pub mod bench_kernel;
 pub mod fig10_invisimem_xts;
 pub mod fig12_invisimem_ctr;
 pub mod fig6_performance;

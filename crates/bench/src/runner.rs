@@ -37,16 +37,7 @@ pub struct Sweep {
 /// normalization baseline), in parallel across benchmarks via
 /// [`par_sweep`].
 pub fn sweep(configs: &[SecurityConfig], params: RunParams) -> Sweep {
-    sweep_with_options(configs, params, EngineOptions::default())
-}
-
-/// As [`sweep`] with explicit engine options (ablation knobs, clock
-/// advance policy).
-pub fn sweep_with_options(
-    configs: &[SecurityConfig],
-    params: RunParams,
-    options: EngineOptions,
-) -> Sweep {
+    let options = EngineOptions::default();
     let benches = crate::selected_benchmarks();
     let tdx = SecurityConfig::tdx_baseline();
 

@@ -56,9 +56,9 @@
 //! `ShardedEngine` steps only the shards with a completion due.
 //! Saturated phases — where both
 //! policies used to converge on one controller tick per busy DRAM
-//! cycle — therefore no longer floor the wall-clock; the per-record
-//! `controller_decision_cycles` / `controller_busy_cycles` counters in
-//! `BENCH_kernel.json` measure exactly this gap.
+//! cycle — therefore no longer floor the wall-clock; perfbench's
+//! `dram.decision_cycles` / `dram.busy_cycles` counts (gated in
+//! `BENCH_counts.json`) measure exactly this gap.
 
 use secddr_telemetry::{CounterSeries, SeriesSnapshot, TelemetrySnapshot};
 use sim_kernel::{EventQueue, SimClock, TokenWindow};

@@ -4,7 +4,10 @@
 //! DRAM command counts.
 
 use secddr::core::config::SecurityConfig;
-use secddr::core::system::{run_benchmark_with_advance, RunParams, RunResult};
+use secddr::core::engine::EngineOptions;
+use secddr::core::system::{
+    run_benchmark_with_advance, run_trace_with_options, RunParams, RunResult,
+};
 use secddr::cpu::{CpuConfig, CpuSystem, FixedLatencyBackend, TraceOp};
 use secddr::dram::{Advance, DramConfig, DramSystem, MemRequest, ReqKind};
 use secddr::workloads::Benchmark;
@@ -56,6 +59,41 @@ fn equivalence_across_configurations() {
             let fast = run_benchmark_with_advance(&bench, cfg, &params, Advance::ToNextEvent);
             let reference = run_benchmark_with_advance(&bench, cfg, &params, Advance::PerCycle);
             assert_identical(&fast, &reference, &format!("{name}/{}", cfg.label()));
+        }
+    }
+}
+
+/// The whole Figure 6 matrix: every benchmark (SPEC and GAPBS) under
+/// the TDX baseline and the five configurations `fig6_performance`
+/// reports, at a smoke budget, with one trace per benchmark shared by
+/// both policies and every configuration.
+#[test]
+fn figure6_matrix_event_driven_matches_per_cycle() {
+    let configs = [
+        SecurityConfig::tdx_baseline(),
+        SecurityConfig::tree_64ary(),
+        SecurityConfig::secddr_ctr(),
+        SecurityConfig::encrypt_only_ctr(),
+        SecurityConfig::secddr_xts(),
+        SecurityConfig::encrypt_only_xts(),
+    ];
+    let run = |bench: &Benchmark, trace: &[TraceOp], cfg: &SecurityConfig, advance| {
+        let options = EngineOptions {
+            advance,
+            ..EngineOptions::default()
+        };
+        run_trace_with_options(bench, trace, cfg, options)
+    };
+    for bench in Benchmark::all() {
+        let trace = bench.generate(2_000, 0xD5);
+        for cfg in &configs {
+            let fast = run(&bench, &trace, cfg, Advance::ToNextEvent);
+            let reference = run(&bench, &trace, cfg, Advance::PerCycle);
+            assert_identical(
+                &fast,
+                &reference,
+                &format!("{}/{}", bench.name(), cfg.label()),
+            );
         }
     }
 }
@@ -124,7 +162,7 @@ fn dram_layer_equivalence_with_idle_gaps() {
 
 /// The fast path must actually skip: on a memory-bound run it should not
 /// cost more wall-clock than the reference (coarse sanity, not a perf
-/// test — the real numbers live in BENCH_kernel.json).
+/// test — host time per layer is measured by `perfbench/`).
 #[test]
 fn event_driven_simulates_fewer_host_operations() {
     let bench = Benchmark::by_name("mcf").expect("mcf exists");

@@ -13,14 +13,17 @@
 //!   `CpuSystem` is the scheduler's one-core view, the N = 1 cases of
 //!   these pins are the independent single-core oracle;
 //! * the per-core shares of the shared LLC statistics must sum to the
-//!   LLC's own totals.
+//!   LLC's own totals;
+//! * in saturated and bursty rate mode over four channels, the
+//!   event-driven controllers execute fewer cycles than they are busy,
+//!   and their decision causes partition the executed cycles.
 
 use proptest::prelude::*;
 use secddr::core::config::SecurityConfig;
 use secddr::core::engine::{EngineOptions, EngineStats, SecurityEngine};
 use secddr::core::metadata::DATA_SPAN;
 use secddr::cpu::{CpuConfig, CpuSystem, SimResult, TraceOp};
-use secddr::dram::{Advance, DramStats};
+use secddr::dram::{Advance, ControllerTelemetry, DramStats};
 use secddr::workloads::Benchmark;
 use secddr::{CoreTrace, Interleave, MultiCoreResult, MultiCoreSystem, ShardedEngine};
 use std::sync::Arc;
@@ -126,6 +129,17 @@ fn run_wide_bare(cores: usize, trace: &Arc<Vec<TraceOp>>, advance: Advance) -> W
 
 /// Same over a 4-way sharded backend — cores × channels at width.
 fn run_wide_sharded(cores: usize, trace: &Arc<Vec<TraceOp>>, advance: Advance) -> WideObserved {
+    run_wide_sharded_with_telemetry(cores, trace, advance).0
+}
+
+/// As [`run_wide_sharded`], also returning the channel-merged controller
+/// telemetry, which is kept out of the compared observables: the
+/// per-cycle reference executes every busy controller cycle by design.
+fn run_wide_sharded_with_telemetry(
+    cores: usize,
+    trace: &Arc<Vec<TraceOp>>,
+    advance: Advance,
+) -> (WideObserved, ControllerTelemetry) {
     let engine = ShardedEngine::with_options(
         SecurityConfig::secddr_ctr(),
         CPU_MHZ,
@@ -139,11 +153,30 @@ fn run_wide_sharded(cores: usize, trace: &Arc<Vec<TraceOp>>, advance: Advance) -
         sys.llc_stats(),
         "{advance:?}: per-core LLC shares must sum to the shared totals"
     );
-    (
+    let observed = (
         result,
         sys.backend_mut().stats(),
         sys.backend_mut().dram_stats(),
-    )
+    );
+    (observed, sys.backend_mut().dram_telemetry())
+}
+
+/// Asserts what an event-driven run's controllers must show: the
+/// decision causes partition the executed cycles, and the controllers
+/// execute strictly fewer cycles than they are busy (the decision bound
+/// skips the cycles where no command can issue).
+fn assert_decisions_below_busy(telemetry: &ControllerTelemetry, label: &str) {
+    assert_eq!(
+        telemetry.causes.total(),
+        telemetry.decision_cycles,
+        "{label}: decision causes must partition the executed cycles"
+    );
+    assert!(
+        telemetry.decision_cycles < telemetry.busy_cycles,
+        "{label}: controllers executed {} cycles, not fewer than the {} busy ones",
+        telemetry.decision_cycles,
+        telemetry.busy_cycles,
+    );
 }
 
 proptest! {
@@ -342,6 +375,9 @@ fn four_core_rate_mode_over_four_channels() {
         );
         let mut sys = MultiCoreSystem::new(4, cpu_cfg(advance), engine);
         let result = sys.run(CoreTrace::rate(&trace, DATA_SPAN, 4));
+        if advance == Advance::ToNextEvent {
+            assert_decisions_below_busy(&sys.backend_mut().dram_telemetry(), "4 cores");
+        }
         for r in &result.per_core {
             assert_eq!(r.instructions, per_copy, "{advance:?}: every copy retires");
         }
@@ -368,5 +404,33 @@ fn four_core_rate_mode_over_four_channels() {
                 "event-driven 4-core rate mode diverged from per-cycle"
             ),
         }
+    }
+}
+
+/// Bursty rate mode: mcf cut into 64-op chunks, each followed by a
+/// 2,000-instruction compute block, so every channel sits idle between
+/// bursts for far longer than the proptests' compute gaps (at most 48
+/// cycles). At 8 and 16 cores over four channels the event-driven
+/// scheduler is bit-identical to per-cycle, and its controllers still
+/// execute fewer cycles than they are busy.
+#[test]
+fn bursty_wide_rate_mode_over_four_channels() {
+    let bench = Benchmark::by_name("mcf").expect("mcf exists");
+    let base = bench.generate_shared(2_000, 0xD5);
+    let mut ops = Vec::with_capacity(base.len() + base.len() / 64 + 1);
+    for chunk in base.chunks(64) {
+        ops.extend_from_slice(chunk);
+        ops.push(TraceOp::Compute(2_000));
+    }
+    let trace = Arc::new(ops);
+    for cores in [8, 16] {
+        let (fast, telemetry) =
+            run_wide_sharded_with_telemetry(cores, &trace, Advance::ToNextEvent);
+        assert_eq!(
+            fast,
+            run_wide_sharded(cores, &trace, Advance::PerCycle),
+            "{cores} bursty cores: event-driven diverged from per-cycle"
+        );
+        assert_decisions_below_busy(&telemetry, &format!("{cores} bursty cores"));
     }
 }

@@ -5,6 +5,8 @@
 //!   completion stream tick by tick, same engine/DRAM statistics — both
 //!   at the engine level over randomized traffic and end-to-end through
 //!   `CpuSystem` (mirroring `tests/scheduler_differential.rs`);
+//! * at 1, 2, 4 and 8 shards, a real benchmark run through `CpuSystem`
+//!   is identical under both advance policies;
 //! * across shard counts, data traffic is conserved: every access lands
 //!   on exactly one shard, so per-shard data reads/writes sum to the
 //!   unsharded counts for the same input;
@@ -198,6 +200,43 @@ fn single_shard_is_observationally_identical_end_to_end() {
                 "{advance:?}/{il:?}: DramStats diverged"
             );
         }
+    }
+}
+
+/// Shard scaling on a real trace: mcf through `CpuSystem` over
+/// `ShardedEngine` with 1, 2, 4 and 8 xor-interleaved channels produces
+/// the same `SimResult`, `EngineStats` and `DramStats` under both advance
+/// policies. Per-shard traffic thins as N grows, so each channel's idle
+/// windows widen and the shard-skipping advance is exercised hardest.
+#[test]
+fn shard_scaling_event_driven_matches_per_cycle_end_to_end() {
+    let bench = Benchmark::by_name("mcf").expect("mcf exists");
+    let trace = bench.generate(10_000, 0xD5);
+    for n in [1usize, 2, 4, 8] {
+        let run = |advance: Advance| {
+            let cpu_cfg = CpuConfig {
+                advance,
+                ..CpuConfig::default()
+            };
+            let engine = ShardedEngine::with_options(
+                SecurityConfig::secddr_ctr(),
+                cpu_cfg.clock_mhz,
+                Interleave::xor(n),
+                options(advance),
+            );
+            let mut sys = CpuSystem::new(cpu_cfg, engine);
+            let sim = sys.run(trace.iter().copied());
+            (
+                sim,
+                sys.backend_mut().stats(),
+                sys.backend_mut().dram_stats(),
+            )
+        };
+        assert_eq!(
+            run(Advance::ToNextEvent),
+            run(Advance::PerCycle),
+            "N={n}: event-driven sharded run diverged from per-cycle"
+        );
     }
 }
 
