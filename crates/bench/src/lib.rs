@@ -3,9 +3,8 @@
 //!
 //! Each `figN_*` / `tabN_*` module prints the same rows/series the paper
 //! reports. Run them as binaries (`cargo run --release -p secddr-bench
-//! --bin fig6_performance`) or all together via `cargo bench` (the
-//! `figures` bench target runs every harness at a reduced instruction
-//! budget).
+//! --bin fig6_performance`); README.md's golden-ledger one-liner runs all
+//! nine at a smoke budget.
 //!
 //! Knobs (environment variables):
 //!

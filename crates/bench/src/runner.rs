@@ -8,6 +8,10 @@
 //! instances so tests can size and drain them independently) — so the
 //! thread-count policy (`SECDDR_THREADS` override, capped at
 //! [`secddr_service::DEFAULT_THREAD_CAP`]) lives in exactly one place.
+//! A sweep runs that many cells at once, the calling thread included;
+//! with `SECDDR_THREADS=1` every cell runs serially on the caller. Cells
+//! are independent and results come back in input order, so the printed
+//! numbers do not depend on the thread count.
 
 use secddr_core::config::SecurityConfig;
 use secddr_core::engine::EngineOptions;

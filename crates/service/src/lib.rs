@@ -73,8 +73,10 @@ pub use spec::{JobSpec, SpecError, SuiteSel, Workload};
 /// size and drain it independently; `par_sweep` uses the process-wide
 /// [`WorkerPool::global`]), so the thread-count policy
 /// (`SECDDR_THREADS`, capped at [`DEFAULT_THREAD_CAP`]) lives in
-/// exactly one place. The calling thread participates in the work, so
-/// the call completes even when the pool is saturated with other jobs.
+/// exactly one place. The sweep runs on exactly that many threads, the
+/// caller included ([`WorkerPool::map`]): the calling thread participates
+/// in the work, so the call completes even when the pool is saturated
+/// with other jobs, and with one thread every item runs on the caller.
 pub fn par_sweep<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync + 'static,

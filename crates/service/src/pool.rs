@@ -10,10 +10,11 @@
 //! * [`WorkerPool::submit`] — fire-and-forget `'static` jobs (the
 //!   experiment service's path: one job per submitted `JobSpec`);
 //! * [`WorkerPool::map`] — order-preserving parallel map (the
-//!   `par_sweep` path). The *calling* thread participates in the work,
-//!   so a `map` issued from inside a pool job — or against a fully busy
-//!   pool — always makes progress and can never deadlock waiting for a
-//!   free worker.
+//!   `par_sweep` path). It runs on exactly `threads()` threads: the
+//!   *calling* thread plus up to `threads() - 1` helper jobs. Because the
+//!   caller participates in the work, a `map` issued from inside a pool
+//!   job — or against a fully busy pool — always makes progress and can
+//!   never deadlock waiting for a free worker.
 //!
 //! Sizing: `available_parallelism` capped by a caller-supplied limit
 //! (the old hard-coded `.min(16)`), overridden end-to-end by the
@@ -250,10 +251,12 @@ impl WorkerPool {
 
     /// Applies `f` to every item in parallel, preserving input order.
     ///
-    /// The caller's thread claims items alongside up to `threads()`
-    /// helper jobs, so the call always completes even when every worker
-    /// is busy with long service jobs (and a `map` from *inside* a pool
-    /// job cannot deadlock). This is the engine under
+    /// Runs on exactly `threads()` threads: the caller's thread claims
+    /// items alongside up to `threads() - 1` helper jobs (none on a
+    /// 1-thread pool, where every item runs on the caller). So at most
+    /// `threads()` items run at once, and the call always completes even
+    /// when every worker is busy with long service jobs (a `map` from
+    /// *inside* a pool job cannot deadlock). This is the engine under
     /// [`crate::par_sweep`].
     ///
     /// # Panics
@@ -327,9 +330,9 @@ impl WorkerPool {
             all_done: Condvar::new(),
             panic: Mutex::new(None),
         });
-        // Helpers accelerate; the caller guarantees completion. One item
-        // needs no helpers at all.
-        for _ in 0..self.threads().min(n.saturating_sub(1)) {
+        // Helpers accelerate; the caller guarantees completion and is one
+        // of the `threads()` drainers. One item needs no helpers at all.
+        for _ in 0..(self.threads() - 1).min(n - 1) {
             let state = Arc::clone(&state);
             self.submit(0, CancelToken::new(), move |_| drain(&state));
         }
@@ -408,7 +411,8 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use std::time::Duration;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn resolve_threads_policy() {
@@ -438,8 +442,8 @@ mod tests {
     #[test]
     fn map_from_inside_a_job_cannot_deadlock() {
         // A 1-thread pool whose only worker runs a job that itself maps:
-        // the inner map's helper can never be scheduled, so only the
-        // caller-participation path completes it.
+        // the inner map queues no helper (`threads() - 1` is zero), so the
+        // calling worker drains every item itself.
         let pool = Arc::new(WorkerPool::new(1));
         let (tx, rx) = mpsc::channel();
         let inner_pool = Arc::clone(&pool);
@@ -451,6 +455,90 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("no deadlock");
         assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    /// Maps `items` items on `pool`, counting items in flight. Each of
+    /// the first `threads()` items waits (up to 10 s) until that many
+    /// items have started, so a missing drainer fails instead of hanging.
+    /// Returns the in-flight high-water mark, the calling thread and the
+    /// thread each item ran on.
+    fn traced_map(pool: &WorkerPool, items: usize) -> (usize, ThreadId, Vec<ThreadId>) {
+        let threads = pool.threads();
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let high_water = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(AtomicUsize::new(0));
+        let counters = (Arc::clone(&in_flight), Arc::clone(&high_water));
+        let ran_on = pool.map((0..items).collect(), move |&i: &usize| {
+            let (in_flight, high_water) = &counters;
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            high_water.fetch_max(now, Ordering::SeqCst);
+            if i < threads {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < threads {
+                    assert!(
+                        Instant::now() < deadline,
+                        "fewer than {threads} items ever ran at once"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+            // Hold the item briefly so every drainer overlaps the others.
+            let hold = Instant::now() + Duration::from_millis(2);
+            while Instant::now() < hold {
+                std::hint::spin_loop();
+            }
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            std::thread::current().id()
+        });
+        (
+            high_water.load(Ordering::SeqCst),
+            std::thread::current().id(),
+            ran_on,
+        )
+    }
+
+    fn assert_map_runs_on_exactly_threads(
+        threads: usize,
+        context: &str,
+        (high_water, caller, ran_on): (usize, ThreadId, Vec<ThreadId>),
+    ) {
+        assert!(
+            high_water <= threads,
+            "{context}: {high_water} items in flight on a {threads}-thread pool"
+        );
+        assert_eq!(
+            high_water, threads,
+            "{context}: a {threads}-thread pool must run {threads} items at once"
+        );
+        if threads == 1 {
+            assert!(
+                ran_on.iter().all(|&id| id == caller),
+                "{context}: a 1-thread pool runs every item on the caller"
+            );
+        }
+    }
+
+    #[test]
+    fn map_runs_on_exactly_the_pools_thread_count() {
+        for threads in 1..=3 {
+            let items = 4 * threads;
+            let pool = Arc::new(WorkerPool::new(threads));
+            assert_map_runs_on_exactly_threads(
+                threads,
+                "from the test thread",
+                traced_map(&pool, items),
+            );
+            let (tx, rx) = mpsc::channel();
+            let inner_pool = Arc::clone(&pool);
+            pool.submit(0, CancelToken::new(), move |_| {
+                tx.send(traced_map(&inner_pool, items)).unwrap();
+            });
+            let traced = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the map inside a pool job finished");
+            assert_map_runs_on_exactly_threads(threads, "from inside a pool job", traced);
+        }
     }
 
     #[test]
